@@ -5,6 +5,16 @@ a span and, inside auxiliary trees, the span of the material below the
 foot node, giving the usual O(n^6) bound.  Tree sets are skipped with a
 warning; general MC-TAG parsing is refused by design.
 
+The chart derives only items an inference rule can use:
+
+- Lexical filter: a tree with an anchor or terminal word missing from the
+  input can never cover the whole input, so only trees whose words all
+  occur in it take part (lexicalized tree selection).
+- On-demand foot items: a finished auxiliary tree whose foot spans (i, j)
+  can only adjoin onto a node whose bottom item spans (i, j).  So the foot
+  item over (i, j) is added once a bottom item with the foot's label spans
+  (i, j), not for every span up front.
+
 ``enumerate_language`` is an independent brute-force oracle: it expands
 every derivation using a bounded number of elementary trees, without
 touching the chart machinery.
@@ -20,7 +30,17 @@ from typing import Iterator
 from .derive import DerivationStep, DerivationTree, run_derivation
 from .errors import RefuseUnbounded
 from .grammar import AUXILIARY, INITIAL, ElementaryTree, Grammar, check_lexicalized
-from .trees import ANCHOR, FOOT, INTERIOR, SUBSTITUTION, TERMINAL, Address, walk
+from .trees import (
+    ANCHOR,
+    FOOT,
+    INTERIOR,
+    SUBSTITUTION,
+    TERMINAL,
+    WORD_KINDS,
+    Address,
+    TreeNode,
+    walk,
+)
 
 
 class UnparsedSets(UserWarning):
@@ -44,19 +64,30 @@ class ParseResult:
 class _Chart:
     def __init__(self, grammar: Grammar, words: list[str]):
         self.grammar = grammar
-        self.words = words
         self.n = len(words)
         self.start = grammar.start_symbol
-        self.trees = dict(grammar.trees)
-        self.nodes = {
-            tid: dict(walk(t.root)) for tid, t in self.trees.items()
-        }
-        self.subst_leaves = [
-            (tid, addr, node.label)
-            for tid, t in self.trees.items()
-            for addr, node in walk(t.root)
-            if node.kind == SUBSTITUTION
-        ]
+        self.positions: dict[str, list[int]] = {}
+        for i, word in enumerate(words):
+            self.positions.setdefault(word, []).append(i)
+        self.trees: dict[str, ElementaryTree] = {}
+        self.nodes: dict[str, dict[Address, TreeNode]] = {}
+        # Substitution leaves and foot nodes of the kept trees, by label.
+        self.subst_leaves: dict[str, list[tuple[str, Address]]] = {}
+        self.feet: dict[str, list[tuple[str, Address]]] = {}
+        for tid, tree in grammar.trees.items():
+            nodes = dict(walk(tree.root))
+            if any(
+                node.kind in WORD_KINDS and node.label not in self.positions
+                for node in nodes.values()
+            ):
+                continue
+            self.trees[tid] = tree
+            self.nodes[tid] = nodes
+            for addr, node in nodes.items():
+                if node.kind == SUBSTITUTION:
+                    self.subst_leaves.setdefault(node.label, []).append((tid, addr))
+                elif node.kind == FOOT:
+                    self.feet.setdefault(node.label, []).append((tid, addr))
         self.backpointers: dict[tuple, list[tuple]] = {}
         self.agenda: list[tuple] = []
         # Combination indexes.
@@ -90,16 +121,11 @@ class _Chart:
             bps.append(bp)
 
     def _axioms(self):
-        for tid, tree in self.trees.items():
-            for addr, node in walk(tree.root):
-                if node.kind in (ANCHOR, TERMINAL):
-                    for i, word in enumerate(self.words):
-                        if word == node.label:
-                            self._add((_T, tid, addr, i, i + 1, *NOFOOT), ("lex", i))
-                elif node.kind == FOOT:
-                    for i in range(self.n + 1):
-                        for j in range(i, self.n + 1):
-                            self._add((_T, tid, addr, i, j, i, j), ("foot",))
+        for tid, nodes in self.nodes.items():
+            for addr, node in nodes.items():
+                if node.kind in WORD_KINDS:
+                    for i in self.positions[node.label]:
+                        self._add((_T, tid, addr, i, i + 1, *NOFOOT), ("lex", i))
 
     # -- inference -----------------------------------------------------
 
@@ -140,6 +166,8 @@ class _Chart:
         _, tid, addr, i, j, p, q = item
         self._add((_T, tid, addr, i, j, p, q), ("noadj", item))
         label = self.nodes[tid][addr].label
+        for foot_tid, foot_addr in self.feet.get(label, ()):
+            self._add((_T, foot_tid, foot_addr, i, j, i, j), ("foot",))
         for aux in self.aux_by_foot.get((label, i, j), []):
             self._adjoin(item, aux)
         self.bots_by_span.setdefault((label, i, j), []).append(item)
@@ -154,9 +182,8 @@ class _Chart:
         tree = self.trees[tid]
         label = tree.root.label
         if tree.shape == INITIAL:
-            for tid2, addr2, wanted in self.subst_leaves:
-                if wanted == label:
-                    self._add((_T, tid2, addr2, i, j, *NOFOOT), ("subst", item))
+            for tid2, addr2 in self.subst_leaves.get(label, ()):
+                self._add((_T, tid2, addr2, i, j, *NOFOOT), ("subst", item))
             if label == self.start and i == 0 and j == self.n:
                 self.goals.append(item)
         else:
@@ -271,7 +298,9 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     derivations = []
     seen = set()
     if cap > 0:
-        raw = (d for goal in chart.goals for d in chart.derivations(goal))
+        # Goals differ only in tree id; sorting fixes their order, which
+        # otherwise follows the agenda.
+        raw = (d for goal in sorted(chart.goals) for d in chart.derivations(goal))
         for deriv in islice(raw, cap * 4):
             script = _to_derivation_tree(grammar, deriv)
             key = script.canonical()
@@ -288,6 +317,7 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
                 break
     stats = {
         "items": len(chart.backpointers),
+        "trees": len(chart.trees),
         "wall_time_s": time.perf_counter() - started,
         "words": len(words),
     }

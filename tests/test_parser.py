@@ -1,14 +1,30 @@
 """Chart recognizer/parser and the brute-force enumeration oracle."""
+import json
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
 import tagforge as tf
+from tagforge import corpus
 from tagforge.chart import UnparsedSets
 from tagforge.errors import RefuseUnbounded
 
 from conftest import load_script
+
+GOLDEN = Path(__file__).parent / "data" / "derivations.json"
+GOLDEN_GRAMMARS = ("english.tag", "english_wh.tag", "dutch.tag")
+
+
+def derivation_lists(grammar, sentences):
+    """``{sentence: [canonical derivation, ...]}`` as plain JSON values."""
+    return {
+        sentence: json.loads(
+            json.dumps([d.canonical() for d in tf.parse(grammar, sentence.split()).derivations])
+        )
+        for sentence in sorted(sentences)
+    }
 
 
 def test_recognize_basic(english):
@@ -170,3 +186,50 @@ def test_parse_stats(english):
     assert result.stats["words"] == 3
     assert result.stats["items"] > 0
     assert result.stats["wall_time_s"] >= 0
+    # The lexical filter drops beta1, whose word "really" is absent.
+    assert result.stats["trees"] == 3
+    assert tf.parse(english, "John really likes Lyn".split()).stats["trees"] == 4
+
+
+def test_derivation_lists_match_golden():
+    """The golden lists cover ``enumerate_language(g, 5)`` on three corpus
+    grammars. They were recorded with the parser that built a foot item
+    for every span and filled the chart with every tree of the grammar."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == list(GOLDEN_GRAMMARS)
+    for name in GOLDEN_GRAMMARS:
+        grammar = tf.parse_grammar(corpus.read(name))
+        lists = derivation_lists(grammar, tf.enumerate_language(grammar, 5))
+        assert lists == golden[name], name
+
+
+def test_derivations_invariant_under_unrelated_trees(english):
+    extra = []
+    for i in range(10):
+        extra += [
+            f'tree x_np{i} initial (NP "name{i}"@)',
+            f'tree x_adv{i} aux (VP "adv{i}"@ VP*)',
+            f'tree x_verb{i} initial (S NP! (VP (V "verb{i}"@) NP!))',
+            # Anchored by an input word, with a terminal the input lacks.
+            f'tree x_likes{i} initial (S NP! (VP (V "likes"@) "part{i}" NP!))',
+        ]
+    bigger = tf.parse_grammar(corpus.read("english.tag") + "\n".join(extra) + "\n")
+    assert len(bigger.trees) == len(english.trees) + 40
+    sentences = tf.enumerate_language(english, 5)
+    assert derivation_lists(bigger, sentences) == derivation_lists(english, sentences)
+    words = "John really likes Lyn".split()
+    assert tf.parse(bigger, words).stats["trees"] == tf.parse(english, words).stats["trees"]
+
+
+def _adverbs(k):
+    return ["John"] + ["really"] * k + ["likes", "Lyn"]
+
+
+def test_chart_items_bounded_on_adverb_stacking(english):
+    result = tf.parse(english, _adverbs(128), cap=1)
+    assert result.recognized
+    assert result.stats["items"] <= 10_000
+
+
+def test_recognize_long_adverb_stack(english):
+    assert tf.recognize(english, _adverbs(600))
