@@ -15,6 +15,12 @@ The chart derives only items an inference rule can use:
   item over (i, j) is added once a bottom item with the foot's label spans
   (i, j), not for every span up front.
 
+Derivations are read off the items' backpointers (the item and agenda
+scheme of Shieber, Schabes & Pereira 1995).  A backpointer list is final
+once fill ends, so ``parse`` sorts each list once, after fill, into the
+canonical order; ``recognize`` never sorts.  Every derivation ``parse``
+returns is still replayed through ``run_derivation`` as a self-check.
+
 ``enumerate_language`` is an independent brute-force oracle: it expands
 every derivation using a bounded number of elementary trees, without
 touching the chart machinery.
@@ -39,7 +45,6 @@ from .trees import (
     WORD_KINDS,
     Address,
     TreeNode,
-    walk,
 )
 
 
@@ -75,7 +80,7 @@ class _Chart:
         self.subst_leaves: dict[str, list[tuple[str, Address]]] = {}
         self.feet: dict[str, list[tuple[str, Address]]] = {}
         for tid, tree in grammar.trees.items():
-            nodes = dict(walk(tree.root))
+            nodes = tree.nodes
             if any(
                 node.kind in WORD_KINDS and node.label not in self.positions
                 for node in nodes.values()
@@ -193,14 +198,6 @@ class _Chart:
 
     # -- derivation extraction ----------------------------------------
 
-    def _bp_key(self, bp: tuple):
-        def flat(x):
-            if isinstance(x, tuple):
-                return tuple(flat(y) for y in x)
-            return x
-
-        return flat(bp)
-
     def derivations(self, item: tuple) -> Iterator[tuple]:
         """Yield (tree_id, ops) pairs for a complete-tree item, where ops
         is a list of ('substitute'|'adjoin', site, subderivation)."""
@@ -209,7 +206,7 @@ class _Chart:
             yield (tid, ops)
 
     def _ops(self, item: tuple) -> Iterator[list]:
-        for bp in sorted(self.backpointers[item], key=self._bp_key):
+        for bp in self.backpointers[item]:
             kind = bp[0]
             if kind in ("lex", "foot"):
                 yield []
@@ -235,8 +232,7 @@ class _Chart:
 def _substitution_rank(tree: ElementaryTree, site: Address) -> str:
     """MTT-style actant number: position of the site among the tree's
     substitution addresses in preorder."""
-    ordered = sorted(tree.substitution_addresses())
-    return str(ordered.index(site) + 1)
+    return str(tree.substitution_addresses().index(site) + 1)
 
 
 def _to_derivation_tree(grammar: Grammar, deriv: tuple) -> DerivationTree:
@@ -288,9 +284,10 @@ def recognize(grammar: Grammar, words: list[str]) -> bool:
 def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     """Recognize and enumerate up to ``cap`` derivations.
 
-    Every returned derivation replays to the input string through
-    ``run_derivation``; enumeration order follows the chart's canonical
-    backpointer order (tree ids, then addresses, then spans).
+    After fill, each backpointer list is sorted once, and enumeration
+    follows that canonical order (tree ids, then addresses, then spans).
+    Every returned derivation is still replayed through ``run_derivation``
+    and must yield the input string.
     """
     _check_parseable(grammar)
     started = time.perf_counter()
@@ -298,6 +295,8 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     derivations = []
     seen = set()
     if cap > 0:
+        for bps in chart.backpointers.values():
+            bps.sort()  # final once fill ends, so sorted once, not per visit
         # Goals differ only in tree id; sorting fixes their order, which
         # otherwise follows the agenda.
         raw = (d for goal in sorted(chart.goals) for d in chart.derivations(goal))

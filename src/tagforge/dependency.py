@@ -204,6 +204,8 @@ def parse_dependency(text: str) -> DependencyTree:
     tokens = re.findall(r"\{|\}|[^{}\s]+", re.sub(r"#[^\n]*", "", text))
     if not tokens or tokens[0] != "dep":
         raise GrammarFormatError("dependency file must start with 'dep'")
+    if len(tokens) == 1:
+        raise GrammarFormatError("dependency file has no root node")
     counts: dict[str, int] = {}
 
     def fresh_id(lexeme: str) -> str:

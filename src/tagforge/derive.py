@@ -44,17 +44,25 @@ class PhraseTree:
 
     ``provenance`` maps each current address to the elementary-tree
     instance it came from and its address within that tree, which is how
-    script sites stay valid across earlier splices.
+    script sites stay valid across earlier splices.  ``feet`` lists the
+    foot addresses in preorder; the operations below carry it along, and
+    it is found by one walk only when a tree is built directly.
     """
 
     root: TreeNode
     provenance: dict[Address, tuple[str, Address]]
+    feet: tuple[Address, ...] | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.feet is None:
+            feet = tuple(a for a, n in walk(self.root) if n.kind == FOOT)
+            object.__setattr__(self, "feet", feet)
 
     @classmethod
     def from_elementary(cls, tree: ElementaryTree, instance: str | None = None) -> "PhraseTree":
         instance = instance or tree.id
-        prov = {addr: (instance, addr) for addr, _ in walk(tree.root)}
-        return cls(tree.root, prov)
+        prov = {addr: (instance, addr) for addr in tree.nodes}
+        return cls(tree.root, prov, tuple(tree.foot_addresses()))
 
     def node_at(self, address: Address) -> TreeNode:
         return node_at(self.root, address)
@@ -75,10 +83,9 @@ class PhraseTree:
         )
 
     def foot_address(self) -> Address | None:
-        feet = [a for a, n in walk(self.root) if n.kind == FOOT]
-        if len(feet) > 1:
-            raise WrongShape(f"tree has {len(feet)} foot nodes")
-        return feet[0] if feet else None
+        if len(self.feet) > 1:
+            raise WrongShape(f"tree has {len(self.feet)} foot nodes")
+        return self.feet[0] if self.feet else None
 
     def is_complete(self) -> bool:
         return all(
@@ -118,7 +125,7 @@ def substitute(
     prov = {a: o for a, o in target.provenance.items() if a != site}
     for addr, origin in sub.provenance.items():
         prov[site + addr] = origin
-    return PhraseTree(new_root, prov)
+    return PhraseTree(new_root, prov, target.feet)
 
 
 def adjoin(
@@ -149,17 +156,17 @@ def adjoin(
     excised = site_node
     spliced = replace_at(aux_pt.root, foot, excised)
     new_root = replace_at(target.root, site, spliced)
-    prov: dict[Address, tuple[str, Address]] = {}
-    for addr, origin in target.provenance.items():
-        if is_prefix(site, addr):
-            prov[site + foot + addr[len(site):]] = origin
-        else:
-            prov[addr] = origin
+
+    def moved(addr: Address) -> Address:
+        # The excised subtree now hangs below the foot.
+        return site + foot + addr[len(site):] if is_prefix(site, addr) else addr
+
+    prov = {moved(addr): origin for addr, origin in target.provenance.items()}
     for addr, origin in aux_pt.provenance.items():
         if addr == foot:
             continue  # the excised subtree root occupies the foot position
         prov[site + addr] = origin
-    return PhraseTree(new_root, prov)
+    return PhraseTree(new_root, prov, tuple(moved(f) for f in target.feet))
 
 
 def adjoin_set(
@@ -228,8 +235,12 @@ class DerivationTree:
     instances: dict[str, str] = field(default_factory=dict)  # instance -> tree/set id
     steps: list[DerivationStep] = field(default_factory=list)
 
-    def children_of(self, instance: str) -> list[DerivationStep]:
-        return [s for s in self.steps if s.parent == instance]
+    def _steps_by_parent(self) -> dict[str, list[tuple[int, DerivationStep]]]:
+        """Parent instance -> its (step index, step) pairs in script order."""
+        index: dict[str, list[tuple[int, DerivationStep]]] = {}
+        for i, step in enumerate(self.steps):
+            index.setdefault(step.parent, []).append((i, step))
+        return index
 
     def validate(self) -> None:
         if self.root not in self.instances:
@@ -258,13 +269,12 @@ class DerivationTree:
 
     def canonical(self):
         """Order-independent structural form, for equality checks."""
+        children = self._steps_by_parent()
 
         def canon(instance):
             kids = sorted(
-                (
-                    (s.op, s.site, s.arc_label, canon(s.child))
-                    for s in self.children_of(instance)
-                ),
+                (s.op, s.site, s.arc_label, canon(s.child))
+                for _, s in children.get(instance, ())
             )
             return (self.instances[instance], tuple(kids))
 
@@ -279,13 +289,12 @@ class DerivationTree:
 def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree, str]:
     """Replay a derivation tree; returns the derived tree and its yield."""
     script.validate()
-    step_index = {id(step): i for i, step in enumerate(script.steps)}
+    children = script._steps_by_parent()
 
     def build(instance: str) -> PhraseTree:
         tree_id = script.instances[instance]
         phrase = PhraseTree.from_elementary(grammar.tree(tree_id), instance)
-        for step in script.children_of(instance):
-            idx = step_index[id(step)]
+        for idx, step in children.get(instance, ()):
             try:
                 if step.op == "adjoin_set":
                     tree_set = grammar.tree_sets[script.instances[step.child]]

@@ -7,7 +7,7 @@ import json
 from .dependency import DependencyTree, DepNode
 from .derive import DerivationStep, DerivationTree, PhraseTree
 from .errors import GrammarFormatError
-from .trees import TreeNode, format_address, parse_address
+from .trees import TreeNode, format_address, parse_address, walk
 
 
 def _dot_escape(text: str) -> str:
@@ -47,7 +47,7 @@ def phrase_from_json(text: str) -> PhraseTree:
 
 def phrase_to_dot(tree: PhraseTree, name: str = "derived") -> str:
     lines = [f'digraph "{_dot_escape(name)}" {{', "  node [shape=plaintext];"]
-    for addr, node in _walk(tree.root):
+    for addr, node in walk(tree.root):
         node_id = "n" + "_".join(str(i) for i in addr) if addr else "n0"
         label = node.label
         if node.kind == "substitution":
@@ -57,19 +57,13 @@ def phrase_to_dot(tree: PhraseTree, name: str = "derived") -> str:
         elif node.kind in ("anchor", "terminal"):
             label = f'"{label}"' if node.kind == "terminal" else f"{label}◇"
         lines.append(f'  {node_id} [label="{_dot_escape(label)}"];')
-    for addr, node in _walk(tree.root):
+    for addr, node in walk(tree.root):
         parent_id = "n" + "_".join(str(i) for i in addr) if addr else "n0"
         for i in range(1, len(node.children) + 1):
             child_id = "n" + "_".join(str(x) for x in addr + (i,))
             lines.append(f"  {parent_id} -> {child_id};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _walk(root: TreeNode, prefix=()):
-    yield prefix, root
-    for i, child in enumerate(root.children, start=1):
-        yield from _walk(child, prefix + (i,))
 
 
 # -- derivation trees --------------------------------------------------

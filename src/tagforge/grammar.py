@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CompositionError
@@ -64,17 +65,30 @@ class ElementaryTree:
 
         return node_at(self.root, address)
 
+    @cached_property
+    def nodes(self) -> dict[Address, TreeNode]:
+        """Every node by address, from one walk per tree.  Preorder is also
+        the sorted order of Gorn addresses."""
+        return dict(walk(self.root))
+
+    @cached_property
+    def _addresses(self) -> dict[str, tuple[Address, ...]]:
+        by_kind: dict[str, list[Address]] = {}
+        for address, node in self.nodes.items():
+            by_kind.setdefault(node.kind, []).append(address)
+        return {kind: tuple(addresses) for kind, addresses in by_kind.items()}
+
     def anchor_addresses(self) -> list[Address]:
-        return [a for a, n in walk(self.root) if n.kind == ANCHOR]
+        return list(self._addresses.get(ANCHOR, ()))
 
     def foot_addresses(self) -> list[Address]:
-        return [a for a, n in walk(self.root) if n.kind == FOOT]
+        return list(self._addresses.get(FOOT, ()))
 
     def substitution_addresses(self) -> list[Address]:
-        return [a for a, n in walk(self.root) if n.kind == SUBSTITUTION]
+        return list(self._addresses.get(SUBSTITUTION, ()))
 
     def interior_addresses(self) -> list[Address]:
-        return [a for a, n in walk(self.root) if n.kind == INTERIOR]
+        return list(self._addresses.get(INTERIOR, ()))
 
 
 @dataclass(frozen=True)

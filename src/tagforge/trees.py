@@ -84,10 +84,13 @@ def replace_at(root: TreeNode, address: Address, replacement: TreeNode) -> TreeN
 
 
 def walk(root: TreeNode, prefix: Address = ()) -> Iterator[tuple[Address, TreeNode]]:
-    """Preorder traversal yielding (address, node) pairs."""
-    yield prefix, root
-    for i, child in enumerate(root.children, start=1):
-        yield from walk(child, prefix + (i,))
+    """Preorder traversal yielding (address, node) pairs, without recursion."""
+    stack = [(prefix, root)]
+    while stack:
+        address, node = stack.pop()
+        yield address, node
+        for i in range(len(node.children), 0, -1):
+            stack.append((address + (i,), node.children[i - 1]))
 
 
 def frontier(root: TreeNode) -> list[tuple[Address, TreeNode]]:

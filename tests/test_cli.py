@@ -1,5 +1,9 @@
 """End-to-end command-line tests over the bundled corpus."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +178,22 @@ def test_output_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out_path.read_text(encoding="utf-8").strip() == "John really likes Lyn"
+
+
+def test_projective_rootless_file_exit_2(tmp_path):
+    """Run as a real process, so a traceback would show on stderr."""
+    dep = tmp_path / "rootless.dep"
+    dep.write_text("dep\n", encoding="utf-8")
+    src = str(Path(tf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", "projective", "-t", str(dep)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: dependency file has no root node"]

@@ -225,3 +225,10 @@ def test_dependency_format_errors():
         tf.parse_dependency("dep likes { John:1 ")  # unclosed brace
     with pytest.raises(GrammarFormatError):
         tf.parse_dependency("dep likes { John:1 Lyn:1 }")  # duplicate actant
+
+
+def test_dependency_without_root_node():
+    with pytest.raises(GrammarFormatError, match="no root node"):
+        tf.parse_dependency("dep\n")
+    with pytest.raises(GrammarFormatError, match="no root node"):
+        tf.parse_dependency("dep  # nothing but a comment\n")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import tagforge as tf
-from tagforge import corpus
+from tagforge import corpus, derive, exports
 from tagforge.derive import PhraseTree, serialize_script
 from tagforge.errors import (
     GrammarFormatError,
@@ -16,7 +16,7 @@ from tagforge.errors import (
     SetArity,
     WrongShape,
 )
-from tagforge.trees import count_nodes, yield_words
+from tagforge.trees import count_nodes, is_prefix, walk, yield_words
 
 from conftest import load_script, random_auxiliary, random_initial
 
@@ -282,3 +282,86 @@ def test_provenance_addresses_stay_valid(english):
         node_there = elementary.node_at(original)
         if node_there.kind not in ("substitution", "foot"):
             assert node_here.label == node_there.label
+
+
+# -- carried foot addresses --------------------------------------------
+
+SCRIPT_GRAMMARS = {
+    "fig7.drv": "english.tag",
+    "fig10.drv": "english_wh.tag",
+    "fig13.drv": "dutch.tag",
+    "fig15.drv": "german_mc.tag",
+}
+
+
+def _walked_feet(phrase):
+    return tuple(a for a, n in walk(phrase.root) if n.kind == "foot")
+
+
+def test_carried_feet_match_a_fresh_walk(monkeypatch, english):
+    """Every substitute, adjoin and adjoin_set result carries the foot
+    addresses a walk of its root finds, through every corpus script and
+    every parse of the golden sentences."""
+    checked = {"ops": 0, "translated": 0}
+
+    def checking(op):
+        def wrapper(target, site, *args, **kwargs):
+            out = op(target, site, *args, **kwargs)
+            assert out.feet == _walked_feet(out), op.__name__
+            checked["ops"] += 1
+            if op.__name__ == "adjoin" and any(is_prefix(site, f) for f in target.feet):
+                checked["translated"] += 1
+            return out
+
+        return wrapper
+
+    for name in ("substitute", "adjoin", "adjoin_set"):
+        monkeypatch.setattr(derive, name, checking(getattr(derive, name)))
+
+    for script_name, grammar_name in SCRIPT_GRAMMARS.items():
+        grammar = tf.parse_grammar(corpus.read(grammar_name))
+        derived, _ = derive.run_derivation(grammar, load_script(script_name, grammar))
+        assert derived.feet == ()
+    for grammar_name in ("english.tag", "english_wh.tag", "dutch.tag"):
+        grammar = tf.parse_grammar(corpus.read(grammar_name))
+        for sentence in tf.enumerate_language(grammar, 5):
+            for script in tf.parse(grammar, sentence.split()).derivations:
+                derive.run_derivation(grammar, script)
+
+    german_mc = tf.parse_grammar(corpus.read("german_mc.tag"))
+    target = PhraseTree.from_elementary(german_mc.tree("alpha_inf"))
+    derive.adjoin_set(target, [(1,), (2, 2)], german_mc.tree_sets["sigma_m"])
+    assert checked["ops"] > 100
+    assert checked["translated"] > 0  # adjunction above a foot moves it
+
+    beta1 = PhraseTree.from_elementary(english.tree("beta1"))
+    assert exports.phrase_from_json(exports.phrase_to_json(beta1)).feet == beta1.feet == ((2,),)
+
+
+def test_substituting_a_carried_foot_is_rejected(english):
+    target = PhraseTree.from_elementary(english.tree("alpha1"))
+    stacked = tf.adjoin(
+        PhraseTree.from_elementary(english.tree("beta1"), "beta1"),
+        (),
+        PhraseTree.from_elementary(english.tree("beta1"), "beta2"),
+    )
+    assert stacked.feet == ((2, 2),)
+    with pytest.raises(WrongShape):
+        tf.substitute(target, (1,), stacked)
+
+
+def test_two_foot_tree_is_rejected(english):
+    from tagforge.trees import TreeNode
+
+    root = TreeNode(
+        "interior",
+        "VP",
+        (TreeNode("foot", "VP"), TreeNode("anchor", "and"), TreeNode("foot", "VP")),
+    )
+    two_feet = PhraseTree(root, {})
+    assert two_feet.feet == ((1,), (3,))
+    target = PhraseTree.from_elementary(english.tree("alpha1"))
+    with pytest.raises(WrongShape):
+        tf.adjoin(target, (2,), two_feet)
+    with pytest.raises(WrongShape):
+        tf.substitute(target, (1,), two_feet)

@@ -192,3 +192,32 @@ def test_start_symbol_inferred():
     assert g.start_symbol == "NP"
     g2 = tf.parse_grammar('start S\ntree a initial (NP "John"@)')
     assert g2.start_symbol == "S"
+
+
+def test_walk_deep_chain_without_recursion():
+    from tagforge.trees import TreeNode, walk
+
+    depth = 10_000
+    node = TreeNode("anchor", "x")
+    for _ in range(depth):
+        node = TreeNode("interior", "A", (node,))
+    count = 0
+    for address, last in walk(node):
+        count += 1
+    assert count == depth + 1
+    assert address == (1,) * depth
+    assert last.kind == "anchor"
+
+
+def test_walk_is_preorder():
+    from tagforge.trees import walk
+
+    tree = tf.parse_grammar("tree a initial " + ALPHA1_SRC).trees["a"]
+    assert [(a, n.label) for a, n in walk(tree.root)] == [
+        ((), "S"),
+        ((1,), "NP"),
+        ((2,), "VP"),
+        ((2, 1), "V"),
+        ((2, 1, 1), "likes"),
+        ((2, 2), "NP"),
+    ]

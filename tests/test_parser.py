@@ -233,3 +233,26 @@ def test_chart_items_bounded_on_adverb_stacking(english):
 
 def test_recognize_long_adverb_stack(english):
     assert tf.recognize(english, _adverbs(600))
+
+
+# PP attachment: each "with N" adjoins at a VP or at an NP to its left,
+# so `N saw N (with N)^k` has catalan(k + 1) derivations.
+PP_GRAMMAR = """
+start S
+tree alpha_saw       initial (S NP! (VP (V "saw"@) NP!))
+tree alpha_john      initial (NP "John"@)
+tree alpha_lyn       initial (NP "Lyn"@)
+tree alpha_telescope initial (NP "telescope"@)
+tree beta_vp_with    aux     (VP VP* (PP (P "with"@) NP!))
+tree beta_np_with    aux     (NP NP* (PP (P "with"@) NP!))
+"""
+
+
+def test_pp_attachment_derivations_in_canonical_order():
+    grammar = tf.parse_grammar(PP_GRAMMAR)
+    words = "John saw Lyn".split() + ["with", "telescope"] * 6
+    full = [d.canonical() for d in tf.parse(grammar, words, cap=500).derivations]
+    assert len(full) == 429  # catalan(7)
+    assert len(set(full)) == 429
+    head = [d.canonical() for d in tf.parse(grammar, words, cap=50).derivations]
+    assert head == full[:50]
