@@ -3,6 +3,17 @@
 The bridge turns a derivation tree into an MTT-style dependency tree:
 actant and ATTR arcs are copied as they are, while every S-labeled arc
 (matrix clause adjoined into its complement) is reversed.
+
+Every walk over a tree reads one head -> dependents index, built in one
+pass over ``arcs`` (in arc order) and rebuilt only after ``arcs``
+changes; nothing rescans the arc list per node.  ``is_projective``
+numbers the nodes in pre- and postorder in one traversal, so "is X below
+H" is a constant-time test, and finds for every position the nearest
+non-dependent on either side with monotone stacks.  The verdict is thus
+linear in the tree and order; only failing arcs are scanned to list the
+violations.  Validation, parsing, serialization and projectivity use
+explicit stacks and memory linear in the tree, so chains 10^4 levels
+deep need no recursion.
 """
 from __future__ import annotations
 
@@ -30,9 +41,27 @@ class DependencyTree:
     nodes: dict[str, DepNode] = field(default_factory=dict)
     arcs: list[tuple[str, str, str]] = field(default_factory=list)  # (head, dep, label)
     order: list[str] | None = None  # node ids in surface order
+    # head -> [(dep, label)] in arc order, and the arcs it was built from
+    _index: dict[str, list[tuple[str, str]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _indexed: list[tuple[str, str, str]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def dependent_index(self) -> dict[str, list[tuple[str, str]]]:
+        """Head id -> [(dependent id, label)] in arc order.  Built in one
+        pass over ``arcs`` and rebuilt whenever they have changed; the
+        lists are shared, so callers must not mutate them."""
+        if self._indexed != self.arcs:
+            index: dict[str, list[tuple[str, str]]] = {}
+            for head, dep, label in self.arcs:
+                index.setdefault(head, []).append((dep, label))
+            self._index, self._indexed = index, list(self.arcs)
+        return self._index
 
     def dependents(self, node_id: str) -> list[tuple[str, str]]:
-        return [(d, l) for h, d, l in self.arcs if h == node_id]
+        return list(self.dependent_index().get(node_id, ()))
 
     def overt_nodes(self) -> list[DepNode]:
         return [n for n in self.nodes.values() if not n.covert]
@@ -52,30 +81,25 @@ class DependencyTree:
         for node_id in self.nodes:
             if node_id != self.root and node_id not in heads:
                 raise GrammarFormatError(f"node {node_id!r} is disconnected")
+        # Walk up from each node until a node known to reach the root, so
+        # every node is walked once; a walk that meets itself is a cycle.
+        reaches_root = {self.root}
         for node_id in self.nodes:
-            seen = set()
+            path: set[str] = set()
             cursor = node_id
-            while cursor != self.root:
-                if cursor in seen:
+            while cursor not in reaches_root:
+                if cursor in path:
                     raise GrammarFormatError(f"cycle through node {cursor!r}")
-                seen.add(cursor)
+                path.add(cursor)
                 cursor = heads[cursor]
+            reaches_root |= path
+        index = self.dependent_index()
         for node_id in self.nodes:
-            indices = [l for _, l in self.dependents(node_id) if ACTANT_RE.match(l)]
+            indices = [l for _, l in index.get(node_id, ()) if ACTANT_RE.match(l)]
             if len(indices) != len(set(indices)):
                 raise GrammarFormatError(
                     f"node {node_id!r} has two actants with the same index"
                 )
-
-    def descendants(self, node_id: str) -> set[str]:
-        out: set[str] = set()
-        stack = [node_id]
-        while stack:
-            for dep, _ in self.dependents(stack.pop()):
-                if dep not in out:
-                    out.add(dep)
-                    stack.append(dep)
-        return out
 
 
 def derivation_to_dependency(derivation: DerivationTree, grammar: Grammar) -> DependencyTree:
@@ -156,7 +180,12 @@ def is_projective(
 ) -> ProjectivityReport:
     """Mel'cuk projectivity: every word strictly between the endpoints of
     an arc must be a transitive dependent of the arc's head, and no arc
-    may cover the root.  Covert nodes are ignored."""
+    may cover the root.  Covert nodes are ignored.
+
+    Violations are listed arc by arc in ``tree.arcs`` order: the covered
+    words left to right, then a line if the arc covers the root.  A node
+    placed twice counts at its last position but is listed where it was
+    first placed."""
     tree.validate()
     if order is None:
         order = tree.order
@@ -167,27 +196,92 @@ def is_projective(
     if missing:
         raise IncompleteOrder(f"order does not place nodes: {', '.join(sorted(missing))}")
     position = {node_id: i for i, node_id in enumerate(order) if node_id in overt}
+    slots: list[str | None] = [None] * len(order)  # the node counted at each position
+    for node_id, i in position.items():
+        slots[i] = node_id
 
-    violations = []
-    desc = {n: tree.descendants(n) for n in tree.nodes}
-    root_pos = position.get(tree.root)
+    # v is below h iff pre[h] < pre[v] and post[v] < post[h].  An arc is
+    # clean iff the nearest position beyond its head, towards its
+    # dependent, that holds a node not below the head lies past the
+    # dependent.
+    pre, post = _pre_post_numbers(tree)
+    keys = [None if n is None else (pre[n], post[n]) for n in slots]
+    right = _nearest_outside(keys, range(len(keys) - 1, -1, -1), len(keys), min)
+    left = _nearest_outside(keys, range(len(keys)), -1, max)
+
+    violations: list[str] = []
+    rank: dict[str, int] = {}  # listing order: where each node was first placed
     for head, dep, label in tree.arcs:
         if head not in position or dep not in position:
             continue  # covert endpoint
-        lo, hi = sorted((position[head], position[dep]))
-        for other, pos in position.items():
-            if lo < pos < hi and other != head and other not in desc[head]:
-                violations.append(
-                    f"arc {tree.nodes[head].lexeme}-{label}->{tree.nodes[dep].lexeme} "
-                    f"covers {tree.nodes[other].lexeme}, which is not a dependent of "
-                    f"{tree.nodes[head].lexeme}"
-                )
-        if root_pos is not None and head != tree.root and lo < root_pos < hi:
-            violations.append(
-                f"arc {tree.nodes[head].lexeme}-{label}->{tree.nodes[dep].lexeme} "
-                f"covers the root {tree.nodes[tree.root].lexeme}"
-            )
+        at, to = position[head], position[dep]
+        clean = right[at] > to if at < to else left[at] < to
+        if clean:
+            continue
+        lo, hi = min(at, to), max(at, to)
+        strays = [
+            n for n in slots[lo + 1 : hi]
+            if n is not None and not (pre[head] < pre[n] and post[n] < post[head])
+        ]
+        if not rank:
+            rank = {node_id: r for r, node_id in enumerate(position)}
+        strays.sort(key=rank.__getitem__)
+        h, d = tree.nodes[head].lexeme, tree.nodes[dep].lexeme
+        violations += [
+            f"arc {h}-{label}->{d} covers {tree.nodes[n].lexeme}, "
+            f"which is not a dependent of {h}"
+            for n in strays
+        ]
+        if tree.root in strays:
+            violations.append(f"arc {h}-{label}->{d} covers the root {tree.nodes[tree.root].lexeme}")
     return ProjectivityReport(not violations, violations)
+
+
+def _pre_post_numbers(tree: DependencyTree) -> tuple[dict[str, int], dict[str, int]]:
+    """Each node's preorder and postorder number, from one traversal."""
+    index = tree.dependent_index()
+    pre: dict[str, int] = {}
+    post: dict[str, int] = {}
+    stack = [(tree.root, False)]
+    while stack:
+        node_id, leaving = stack.pop()
+        if leaving:
+            post[node_id] = len(post)
+            continue
+        pre[node_id] = len(pre)
+        stack.append((node_id, True))
+        stack.extend((dep, False) for dep, _ in index.get(node_id, ()))
+    return pre, post
+
+
+def _nearest_outside(
+    keys: list[tuple[int, int] | None], scan: range, none: int, nearer
+) -> list[int]:
+    """For each filled slot i, the nearest filled slot that ``scan`` visits
+    before i (scanning right to left finds neighbours on the right) whose
+    node is not below slot i's node, or ``none``.  ``keys`` holds each
+    slot's (preorder, postorder) numbers; not below means a smaller
+    preorder or a larger postorder number.  A monotone stack finds the
+    nearest of each, and every slot is pushed and popped once."""
+    out = [none] * len(keys)
+    smaller_pre: list[int] = []
+    larger_post: list[int] = []
+    for i in scan:
+        key = keys[i]
+        if key is None:
+            continue
+        pre, post = key
+        while smaller_pre and keys[smaller_pre[-1]][0] >= pre:
+            smaller_pre.pop()
+        while larger_post and keys[larger_post[-1]][1] <= post:
+            larger_post.pop()
+        out[i] = nearer(
+            smaller_pre[-1] if smaller_pre else none,
+            larger_post[-1] if larger_post else none,
+        )
+        smaller_pre.append(i)
+        larger_post.append(i)
+    return out
 
 
 _NODE_RE = re.compile(r"^(?P<covert>\()?(?P<lexeme>[^():{}\s]+)(?(covert)\))(?::(?P<label>\S+))?$")
@@ -214,32 +308,35 @@ def parse_dependency(text: str) -> DependencyTree:
 
     tree = DependencyTree(root="")
     pos = 1
-
-    def parse_entry(parent: str | None):
-        nonlocal pos
-        m = _NODE_RE.match(tokens[pos])
-        if m is None or tokens[pos] in ("{", "}"):
-            raise GrammarFormatError(f"bad node token {tokens[pos]!r}")
+    open_heads: list[str] = []  # heads of the blocks still open, innermost last
+    while True:
+        token = tokens[pos]
+        m = _NODE_RE.match(token)
+        if m is None or token in ("{", "}"):
+            raise GrammarFormatError(f"bad node token {token!r}")
         pos += 1
         label = m["label"]
+        parent = open_heads[-1] if open_heads else None
         if parent is None and label is not None:
             raise GrammarFormatError("the root node takes no arc label")
         if parent is not None and label is None:
             raise GrammarFormatError(f"node {m['lexeme']!r} is missing an arc label")
         node_id = fresh_id(m["lexeme"])
         tree.nodes[node_id] = DepNode(node_id, m["lexeme"], covert=bool(m["covert"]))
-        if parent is not None:
+        if parent is None:
+            tree.root = node_id
+        else:
             tree.arcs.append((parent, node_id, label))
         if pos < len(tokens) and tokens[pos] == "{":
             pos += 1
-            while pos < len(tokens) and tokens[pos] != "}":
-                parse_entry(node_id)
-            if pos >= len(tokens):
-                raise GrammarFormatError("unclosed '{'")
+            open_heads.append(node_id)
+        while open_heads and pos < len(tokens) and tokens[pos] == "}":
+            open_heads.pop()
             pos += 1
-        return node_id
-
-    tree.root = parse_entry(None)
+        if not open_heads:
+            break  # the root's entry is complete
+        if pos >= len(tokens):
+            raise GrammarFormatError("unclosed '{'")
     if pos != len(tokens):
         raise GrammarFormatError(f"trailing input {tokens[pos]!r}")
     tree.validate()
@@ -247,14 +344,23 @@ def parse_dependency(text: str) -> DependencyTree:
 
 
 def serialize_dependency(tree: DependencyTree) -> str:
-    def render(node_id: str, label: str | None) -> str:
+    """The nested-block text of a valid tree, dependents in arc order."""
+    tree.validate()
+    index = tree.dependent_index()
+    out = ["dep"]
+    stack: list[tuple[str, str | None] | None] = [(tree.root, None)]  # None closes a block
+    while stack:
+        entry = stack.pop()
+        if entry is None:
+            out.append("}")
+            continue
+        node_id, label = entry
         node = tree.nodes[node_id]
         name = f"({node.lexeme})" if node.covert else node.lexeme
-        head = name if label is None else f"{name}:{label}"
-        deps = tree.dependents(node_id)
-        if not deps:
-            return head
-        inner = " ".join(render(d, l) for d, l in deps)
-        return f"{head} {{ {inner} }}"
-
-    return f"dep {render(tree.root, None)}\n"
+        out.append(name if label is None else f"{name}:{label}")
+        deps = index.get(node_id)
+        if deps:
+            out.append("{")
+            stack.append(None)
+            stack.extend(reversed(deps))
+    return " ".join(out) + "\n"

@@ -26,9 +26,11 @@ from .trees import (
     INTERIOR,
     SUBSTITUTION,
     TERMINAL,
+    WORD_KINDS,
     Address,
     TreeNode,
     format_address,
+    frontier,
     is_prefix,
     node_at,
     parse_address,
@@ -331,14 +333,15 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
         return PhraseTree.from_elementary(member, member.id)
 
     derived = build(script.root)
-    if not derived.is_complete():
-        open_leaves = [
-            f"{format_address(a)} ({n.kind} {n.label!r})"
-            for a, n in walk(derived.root)
-            if n.kind in (SUBSTITUTION, FOOT)
-        ]
+    leaves = frontier(derived.root)
+    open_leaves = [
+        f"{format_address(a)} ({n.kind} {n.label!r})"
+        for a, n in leaves
+        if n.kind in (SUBSTITUTION, FOOT)
+    ]
+    if open_leaves:
         raise IncompleteDerivation("unfilled frontier nodes: " + ", ".join(open_leaves))
-    return derived, derived.sentence()
+    return derived, " ".join(n.label for _, n in leaves if n.kind in WORD_KINDS)
 
 
 _STEP_RE = re.compile(

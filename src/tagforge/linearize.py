@@ -17,12 +17,20 @@ expressions concatenate terms with ``++``: ``head``, ``dep.y1``,
 ``dep.y2``, ``nominals(byActant)``, ``deps(L)`` and ``empty``.
 ``dep`` is the dependent singled out by the rule's ``exists`` atom.
 Covert nodes contribute nothing and are invisible to the guards.
+
+``linearize`` and ``segment_pairs`` share one stack-based post-order
+visit over the tree's head -> dependents index, so depth is bounded by
+memory, not by the interpreter's recursion limit.  Each node's overt
+dependents are listed once and shared by rule matching, ``dep`` binding
+and composition.  ``linearize`` drops each dependent's pair once its
+head's pair is built, which keeps memory linear in the tree's size even
+on deep chains; ``segment_pairs`` returns every pair.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .dependency import DependencyTree
 from .derive import ACTANT_RE
@@ -62,12 +70,17 @@ class SyntagmRule:
 class RuleSet:
     rules: list[SyntagmRule]
     classes: dict[str, frozenset[str]]
+    # lexeme -> the first class that lists it
+    _class_of: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._class_of = {}
+        for name, words in self.classes.items():
+            for word in words:
+                self._class_of.setdefault(word, name)
 
     def cat_of(self, lexeme: str) -> str | None:
-        for name, words in self.classes.items():
-            if lexeme in words:
-                return name
-        return None
+        return self._class_of.get(lexeme)
 
 
 _TERM_RE = re.compile(r"^(head|dep\.y1|dep\.y2|empty|nominals\(byActant\)|deps\([^\s()]+\))$")
@@ -158,12 +171,10 @@ def parse_rules(text: str) -> RuleSet:
     return RuleSet(rules, classes)
 
 
-def _overt_deps(tree: DependencyTree, node_id: str) -> list[tuple[str, str]]:
-    return [
-        (dep, label)
-        for dep, label in tree.dependents(node_id)
-        if not tree.nodes[dep].covert
-    ]
+def _overt_deps(
+    tree: DependencyTree, index: dict[str, list[tuple[str, str]]], node_id: str
+) -> list[tuple[str, str]]:
+    return [(dep, label) for dep, label in index.get(node_id, ()) if not tree.nodes[dep].covert]
 
 
 def _exists_matches(
@@ -180,10 +191,12 @@ def _exists_matches(
 
 
 def _rule_matches(
-    rule: SyntagmRule, tree: DependencyTree, node_id: str, ruleset: RuleSet
+    rule: SyntagmRule,
+    tree: DependencyTree,
+    lexeme: str,
+    deps: list[tuple[str, str]],
+    ruleset: RuleSet,
 ) -> bool:
-    deps = _overt_deps(tree, node_id)
-    lexeme = tree.nodes[node_id].lexeme
     for cond in rule.conditions:
         if cond.kind == "any":
             holds = True
@@ -199,7 +212,11 @@ def _rule_matches(
 
 
 def _bound_dep(
-    rule: SyntagmRule, tree: DependencyTree, node_id: str, ruleset: RuleSet
+    rule: SyntagmRule,
+    tree: DependencyTree,
+    node_id: str,
+    deps: list[tuple[str, str]],
+    ruleset: RuleSet,
 ) -> str | None:
     """The dependent that ``dep.y1``/``dep.y2`` refer to.
 
@@ -207,7 +224,6 @@ def _bound_dep(
     restriction beats arc-label restriction beats bare ``exists dep``);
     with no such atom, the node's only dependent.
     """
-    deps = _overt_deps(tree, node_id)
     atoms = [c for c in rule.conditions if c.kind == "exists" and not c.negated]
     atoms.sort(key=lambda c: (c.dep_cat is None, c.rel is None))
     for cond in atoms:
@@ -225,10 +241,17 @@ def _bound_dep(
 
 
 def match_rule(
-    tree: DependencyTree, node_id: str, ruleset: RuleSet
+    tree: DependencyTree,
+    node_id: str,
+    ruleset: RuleSet,
+    deps: list[tuple[str, str]] | None = None,
 ) -> SyntagmRule:
-    matches = [r for r in ruleset.rules if _rule_matches(r, tree, node_id, ruleset)]
+    """The unique rule matching a node; ``deps`` are its overt dependents
+    when the caller has them already."""
+    if deps is None:
+        deps = _overt_deps(tree, tree.dependent_index(), node_id)
     lexeme = tree.nodes[node_id].lexeme
+    matches = [r for r in ruleset.rules if _rule_matches(r, tree, lexeme, deps, ruleset)]
     if not matches:
         raise NoRule(f"no syntagm rule matches node {lexeme!r}")
     if len(matches) > 1:
@@ -241,14 +264,17 @@ def linearize_node(
     node_id: str,
     dep_pairs: dict[str, SegmentPair],
     ruleset: RuleSet,
+    deps: list[tuple[str, str]] | None = None,
 ) -> SegmentPair:
     """Apply the unique matching rule at one node, given the dependents'
-    already-computed segment pairs."""
-    rule = match_rule(tree, node_id, ruleset)
-    deps = _overt_deps(tree, node_id)
+    already-computed segment pairs (and, optionally, its overt
+    dependents)."""
+    if deps is None:
+        deps = _overt_deps(tree, tree.dependent_index(), node_id)
+    rule = match_rule(tree, node_id, ruleset, deps)
     lexeme = tree.nodes[node_id].lexeme
     uses_dep = any(t in ("dep.y1", "dep.y2") for t in rule.y1 + rule.y2)
-    bound = _bound_dep(rule, tree, node_id, ruleset) if uses_dep else None
+    bound = _bound_dep(rule, tree, node_id, deps, ruleset) if uses_dep else None
     if uses_dep and bound is None:
         raise TagError(
             f"rule {rule.name!r} uses 'dep' but node {lexeme!r} "
@@ -329,23 +355,37 @@ def _contiguous(part: list[str], seg: list[str]) -> bool:
     return any(seg[i : i + n] == part for i in range(len(seg) - n + 1))
 
 
+def _postorder(tree: DependencyTree) -> Iterator[tuple[str, list[tuple[str, str]]]]:
+    """(node, overt dependents) for the root and every overt node below it
+    through overt nodes, dependents first and in arc order, without
+    recursion."""
+    index = tree.dependent_index()
+    stack: list[tuple[str, list[tuple[str, str]] | None]] = [(tree.root, None)]
+    while stack:
+        node_id, deps = stack.pop()
+        if deps is not None:
+            yield node_id, deps
+            continue
+        deps = _overt_deps(tree, index, node_id)
+        stack.append((node_id, deps))
+        stack.extend((dep, None) for dep, _ in reversed(deps))
+
+
 def linearize(tree: DependencyTree, ruleset: RuleSet) -> list[str]:
     """Compute the surface word sequence (DMorphR) of a dependency tree."""
     tree.validate()
     pairs: dict[str, SegmentPair] = {}
-
-    def visit(node_id: str) -> None:
-        for dep, _ in _overt_deps(tree, node_id):
-            visit(dep)
+    for node_id, deps in _postorder(tree):
         try:
-            pairs[node_id] = linearize_node(tree, node_id, pairs, ruleset)
+            pairs[node_id] = linearize_node(tree, node_id, pairs, ruleset, deps)
         except TagError as exc:
             exc.args = (f"{exc.args[0]} (at {_path(tree, node_id)})",) + exc.args[1:]
             raise
-
-    visit(tree.root)
-    root_pair = pairs[tree.root]
-    words = root_pair.words()
+        # A pair is read only by its head: dropping consumed pairs keeps
+        # memory linear in the tree's size even on deep chains.
+        for dep, _ in deps:
+            del pairs[dep]
+    words = pairs[tree.root].words()
     overt_count = len(tree.overt_nodes())
     if len(words) != overt_count:
         raise TagError(
@@ -358,13 +398,8 @@ def segment_pairs(tree: DependencyTree, ruleset: RuleSet) -> dict[str, SegmentPa
     """All intermediate segment pairs, keyed by node id."""
     tree.validate()
     pairs: dict[str, SegmentPair] = {}
-
-    def visit(node_id: str) -> None:
-        for dep, _ in _overt_deps(tree, node_id):
-            visit(dep)
-        pairs[node_id] = linearize_node(tree, node_id, pairs, ruleset)
-
-    visit(tree.root)
+    for node_id, deps in _postorder(tree):
+        pairs[node_id] = linearize_node(tree, node_id, pairs, ruleset, deps)
     return pairs
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import tagforge as tf
 from tagforge import corpus
-from tagforge.dependency import resolve_order, serialize_dependency
+from tagforge.dependency import DepNode, DependencyTree, resolve_order, serialize_dependency
 from tagforge.derive import DerivationStep, DerivationTree
 from tagforge.errors import GrammarFormatError, IncompleteOrder, InversionError
 
@@ -128,6 +128,35 @@ def test_fig8_non_projective():
     assert any("who" in v for v in report.violations)
 
 
+def test_fig8_violation_text():
+    tree = tf.parse_dependency(corpus.read("fig8.dep"))
+    order = resolve_order(
+        tree, "who do you think that Mary claimed that Sarah liked".split()
+    )
+    assert tf.is_projective(tree, order).violations == [
+        "arc liked-2->who covers you, which is not a dependent of liked",
+        "arc liked-2->who covers think, which is not a dependent of liked",
+        "arc liked-2->who covers Mary, which is not a dependent of liked",
+        "arc liked-2->who covers claimed, which is not a dependent of liked",
+        "arc liked-2->who covers the root think",
+    ]
+
+
+def test_fig12_violation_text():
+    tree = tf.parse_dependency(corpus.read("fig12.dep"))
+    order = resolve_order(
+        tree, "omdat Wim Jan Marie de kinderen zag helpen leren zwemmen".split()
+    )
+    assert tf.is_projective(tree, order).violations == [
+        "arc helpen-1->Jan covers zag, which is not a dependent of helpen",
+        "arc leren-1->Marie covers zag, which is not a dependent of leren",
+        "arc leren-1->Marie covers helpen, which is not a dependent of leren",
+        "arc zwemmen-1->kinderen covers zag, which is not a dependent of zwemmen",
+        "arc zwemmen-1->kinderen covers helpen, which is not a dependent of zwemmen",
+        "arc zwemmen-1->kinderen covers leren, which is not a dependent of zwemmen",
+    ]
+
+
 def test_fig12_non_projective():
     tree = tf.parse_dependency(corpus.read("fig12.dep"))
     order = resolve_order(
@@ -193,6 +222,176 @@ def test_substitution_only_derivation_is_projective(english):
     dep = tf.derivation_to_dependency(script, english)
     order = resolve_order(dep, sentence.split())
     assert tf.is_projective(dep, order).projective
+
+
+def reference_violations(tree, order):
+    """The original projectivity check (cubic on chains: it scans every
+    arc per descendant step), kept as the reference for the violation
+    lists."""
+
+    def descendants(node_id):
+        out = set()
+        stack = [node_id]
+        while stack:
+            top = stack.pop()
+            for dep in [d for h, d, _ in tree.arcs if h == top]:
+                if dep not in out:
+                    out.add(dep)
+                    stack.append(dep)
+        return out
+
+    overt = {n.id for n in tree.overt_nodes()}
+    position = {node_id: i for i, node_id in enumerate(order) if node_id in overt}
+    violations = []
+    desc = {n: descendants(n) for n in tree.nodes}
+    root_pos = position.get(tree.root)
+    for head, dep, label in tree.arcs:
+        if head not in position or dep not in position:
+            continue
+        lo, hi = sorted((position[head], position[dep]))
+        for other, pos in position.items():
+            if lo < pos < hi and other != head and other not in desc[head]:
+                violations.append(
+                    f"arc {tree.nodes[head].lexeme}-{label}->{tree.nodes[dep].lexeme} "
+                    f"covers {tree.nodes[other].lexeme}, which is not a dependent of "
+                    f"{tree.nodes[head].lexeme}"
+                )
+        if root_pos is not None and head != tree.root and lo < root_pos < hi:
+            violations.append(
+                f"arc {tree.nodes[head].lexeme}-{label}->{tree.nodes[dep].lexeme} "
+                f"covers the root {tree.nodes[tree.root].lexeme}"
+            )
+    return violations
+
+
+def random_dep_tree(rng, n):
+    """A random tree on ``n`` nodes with shuffled ids and arc order,
+    repeated lexemes and about one covert node in five; returns the tree
+    and its children lists."""
+    ids = [f"n{i}" for i in range(n)]
+    rng.shuffle(ids)
+    parent = [None] + [rng.randrange(i) for i in range(1, n)]
+    tree = DependencyTree(root=ids[0])
+    for i, node_id in enumerate(ids):
+        covert = i > 0 and rng.random() < 0.2
+        tree.nodes[node_id] = DepNode(node_id, f"w{rng.randrange(8)}", covert=covert)
+    arcs = [(ids[p], ids[i], "ATTR") for i, p in enumerate(parent) if p is not None]
+    rng.shuffle(arcs)
+    tree.arcs.extend(arcs)
+    children = {node_id: [] for node_id in ids}
+    for head, dep, _ in arcs:
+        children[head].append(dep)
+    return tree, children
+
+
+def projective_order(rng, tree, children):
+    """A random order in which every subtree is contiguous."""
+    blocks = {}
+    stack = [tree.root]
+    preorder = []
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(children[node])
+    for node in reversed(preorder):
+        parts = [blocks.pop(c) for c in children[node]]
+        rng.shuffle(parts)
+        parts.insert(rng.randrange(len(parts) + 1), [node])
+        blocks[node] = [x for part in parts for x in part]
+    return blocks[tree.root]
+
+
+def test_violations_match_reference_on_random_trees():
+    rng = random.Random(4)
+    kinds = {"projective": 0, "non-projective": 0}
+    for trial in range(400):
+        tree, children = random_dep_tree(rng, rng.randint(2, 60))
+        order = projective_order(rng, tree, children)
+        if trial % 2:  # move one word: often, not always, non-projective
+            order.insert(rng.randrange(len(order)), order.pop(rng.randrange(len(order))))
+        if trial % 3 == 0:
+            order = [n for n in order if not tree.nodes[n].covert]
+        if trial % 5 == 0:
+            order.insert(rng.randrange(len(order) + 1), rng.choice(order))
+        if trial % 7 == 0:
+            rng.shuffle(order)
+        report = tf.is_projective(tree, order)
+        assert report.violations == reference_violations(tree, order), (tree, order)
+        assert report.projective == (not report.violations)
+        kinds["projective" if report.projective else "non-projective"] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_repeated_id_counts_at_last_position_listed_at_first():
+    tree = tf.parse_dependency("dep r { x:ATTR { y:ATTR } p:ATTR q:ATTR }")
+    # q is placed at 1 and at 4: it counts at 4, inside the arc x->y, but
+    # is listed before p and r because it was placed first.
+    order = ["x", "q", "p", "r", "q", "y"]
+    expected = [
+        "arc x-ATTR->y covers q, which is not a dependent of x",
+        "arc x-ATTR->y covers p, which is not a dependent of x",
+        "arc x-ATTR->y covers r, which is not a dependent of x",
+        "arc x-ATTR->y covers the root r",
+    ]
+    assert reference_violations(tree, order) == expected
+    assert tf.is_projective(tree, order).violations == expected
+
+
+# -- deep and malformed input -------------------------------------------
+
+
+def chain_text(depth):
+    words = [f"a{i % 16}" for i in range(depth)]
+    body = " { ".join(f"{w}:ATTR" if i else w for i, w in enumerate(words))
+    return f"dep {body}{' }' * (depth - 1)}\n"
+
+
+def test_deep_chain_without_recursion():
+    text = chain_text(10_000)
+    tree = tf.parse_dependency(text)
+    assert len(tree.nodes) == 10_000
+    tree.validate()
+    ids = list(tree.nodes)  # reading order: each node heads the next
+    assert tf.is_projective(tree, ids).projective
+    assert tf.is_projective(tree, ids[::-1]).projective
+    assert serialize_dependency(tree) == text
+    again = tf.parse_dependency(serialize_dependency(tree))
+    assert again.arcs == tree.arcs
+
+
+def hand_tree(node_ids, arcs, root="r"):
+    return DependencyTree(
+        root=root,
+        nodes={n: DepNode(n, n) for n in node_ids},
+        arcs=list(arcs),
+    )
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (hand_tree("ra", [("r", "a", "1")], root="q"), "root 'q' is not a node"),
+        (hand_tree("ra", [("r", "z", "1")]), "arc r->z references unknown node"),
+        (hand_tree("rab", [("r", "a", "1"), ("r", "b", "2"), ("b", "a", "1")]), "node 'a' has two heads"),
+        (hand_tree("ra", [("r", "a", "1"), ("a", "r", "1")]), "root has a head"),
+        (hand_tree("rab", [("r", "a", "1")]), "node 'b' is disconnected"),
+        # The walk from c enters the cycle at b, so b is named.
+        (hand_tree("rcab", [("b", "c", "1"), ("a", "b", "1"), ("b", "a", "1")]), "cycle through node 'b'"),
+        (hand_tree("rxab", [("r", "x", "1"), ("a", "b", "1"), ("b", "a", "1")]), "cycle through node 'a'"),
+        (hand_tree("rab", [("r", "a", "1"), ("r", "b", "1")]), "node 'r' has two actants with the same index"),
+    ],
+    ids=["root", "unknown", "two-heads", "root-head", "disconnected", "cycle-entered", "cycle", "actant"],
+)
+def test_validate_messages(tree, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tree.validate()
+    assert str(excinfo.value) == message
+
+
+def test_duplicate_actant_message_from_text():
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tf.parse_dependency("dep likes { John:1 Lyn:1 }")
+    assert str(excinfo.value) == "node 'likes' has two actants with the same index"
 
 
 # -- text format -------------------------------------------------------

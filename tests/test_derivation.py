@@ -165,6 +165,20 @@ def test_incomplete_derivation(english):
         tf.run_derivation(english, script)
 
 
+def test_incomplete_derivation_names_open_leaves(english):
+    cases = {
+        "use alpha1": "unfilled frontier nodes: 1 (substitution 'NP'), 2.2 (substitution 'NP')",
+        "use beta1": "unfilled frontier nodes: 2 (foot 'VP')",
+    }
+    for text, message in cases.items():
+        script = tf.parse_script(text, english)
+        with pytest.raises(IncompleteDerivation) as excinfo:
+            tf.run_derivation(english, script)
+        assert str(excinfo.value) == message
+        partial = tf.PhraseTree.from_elementary(english.tree(text.split()[1]))
+        assert not partial.is_complete()
+
+
 def test_script_error_carries_step_index(english):
     text = "use alpha1\nsubst alpha2 -> alpha1 @ 1 label 1\nsubst alpha3 -> alpha1 @ 1 label 2"
     script = tf.parse_script(text, english)

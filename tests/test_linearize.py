@@ -157,3 +157,26 @@ def test_nominals_sorted_by_actant_index():
     # Declared object-first; nominals(byActant) still orders by index.
     tree = tf.parse_dependency("dep helpt { Marie:2 Jan:1 }")
     assert tf.linearize(tree, ruleset) == ["Jan", "Marie", "helpt"]
+
+
+def test_deep_chain_without_recursion():
+    # Each node's words are its own, then its dependent's: the chain reads
+    # in order.  Deeper than the interpreter's recursion limit.
+    rules = tf.parse_rules("rule chain when any { y1 = head ++ deps(ATTR) ; y2 = empty }")
+    depth = 2_000
+    words = [f"a{i % 16}" for i in range(depth)]
+    body = " { ".join(f"{w}:ATTR" if i else w for i, w in enumerate(words))
+    tree = tf.parse_dependency(f"dep {body}{' }' * (depth - 1)}")
+    assert tf.linearize(tree, rules) == words
+    pairs = tf.segment_pairs(tree, rules)
+    assert list(pairs) == list(tree.nodes)[::-1]  # dependents first
+    assert pairs[tree.root].words() == words
+
+
+def test_class_lookup_takes_first_listing_class():
+    rules = tf.parse_rules(
+        "class N = Jan kinderen\nclass V = zien Jan\nrule r when any { y1 = head ; y2 = empty }"
+    )
+    assert rules.cat_of("Jan") == "N"
+    assert rules.cat_of("zien") == "V"
+    assert rules.cat_of("leren") is None
