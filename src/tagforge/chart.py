@@ -18,8 +18,10 @@ The chart derives only items an inference rule can use:
 Derivations are read off the items' backpointers (the item and agenda
 scheme of Shieber, Schabes & Pereira 1995).  A backpointer list is final
 once fill ends, so ``parse`` sorts each list once, after fill, into the
-canonical order; ``recognize`` never sorts.  Every derivation ``parse``
-returns is still replayed through ``run_derivation`` as a self-check.
+canonical order; ``recognize`` never sorts.  Each item and backpointer is
+stored once, so ``parse`` reads each derivation off once and returns
+exactly the first ``cap``, with no dedupe.  Every derivation it returns is
+still replayed through ``run_derivation`` as a self-check.
 
 ``enumerate_language`` is an independent brute-force oracle: it expands
 every derivation using a bounded number of elementary trees, without
@@ -35,16 +37,14 @@ from typing import Iterator
 
 from .derive import DerivationStep, DerivationTree, run_derivation
 from .errors import RefuseUnbounded
-from .grammar import AUXILIARY, INITIAL, ElementaryTree, Grammar, check_lexicalized
+from .grammar import INITIAL, ElementaryTree, Grammar, check_lexicalized
 from .trees import (
     ANCHOR,
     FOOT,
-    INTERIOR,
     SUBSTITUTION,
     TERMINAL,
     WORD_KINDS,
     Address,
-    TreeNode,
 )
 
 
@@ -68,14 +68,12 @@ class ParseResult:
 
 class _Chart:
     def __init__(self, grammar: Grammar, words: list[str]):
-        self.grammar = grammar
         self.n = len(words)
         self.start = grammar.start_symbol
         self.positions: dict[str, list[int]] = {}
         for i, word in enumerate(words):
             self.positions.setdefault(word, []).append(i)
         self.trees: dict[str, ElementaryTree] = {}
-        self.nodes: dict[str, dict[Address, TreeNode]] = {}
         # Substitution leaves and foot nodes of the kept trees, by label.
         self.subst_leaves: dict[str, list[tuple[str, Address]]] = {}
         self.feet: dict[str, list[tuple[str, Address]]] = {}
@@ -87,7 +85,6 @@ class _Chart:
             ):
                 continue
             self.trees[tid] = tree
-            self.nodes[tid] = nodes
             for addr, node in nodes.items():
                 if node.kind == SUBSTITUTION:
                     self.subst_leaves.setdefault(node.label, []).append((tid, addr))
@@ -126,8 +123,8 @@ class _Chart:
             bps.append(bp)
 
     def _axioms(self):
-        for tid, nodes in self.nodes.items():
-            for addr, node in nodes.items():
+        for tid, tree in self.trees.items():
+            for addr, node in tree.nodes.items():
                 if node.kind in WORD_KINDS:
                     for i in self.positions[node.label]:
                         self._add((_T, tid, addr, i, i + 1, *NOFOOT), ("lex", i))
@@ -159,7 +156,7 @@ class _Chart:
 
     def _process_part(self, item: tuple):
         _, tid, addr, k, i, j, p, q = item
-        node = self.nodes[tid][addr]
+        node = self.trees[tid].nodes[addr]
         if k == len(node.children):
             self._add((_B, tid, addr, i, j, p, q), ("children", item))
         else:
@@ -170,7 +167,7 @@ class _Chart:
     def _process_bottom(self, item: tuple):
         _, tid, addr, i, j, p, q = item
         self._add((_T, tid, addr, i, j, p, q), ("noadj", item))
-        label = self.nodes[tid][addr].label
+        label = self.trees[tid].nodes[addr].label
         for foot_tid, foot_addr in self.feet.get(label, ()):
             self._add((_T, foot_tid, foot_addr, i, j, i, j), ("foot",))
         for aux in self.aux_by_foot.get((label, i, j), []):
@@ -282,38 +279,33 @@ def recognize(grammar: Grammar, words: list[str]) -> bool:
 
 
 def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
-    """Recognize and enumerate up to ``cap`` derivations.
+    """Recognize and enumerate the first ``cap`` derivations.
 
     After fill, each backpointer list is sorted once, and enumeration
     follows that canonical order (tree ids, then addresses, then spans).
-    Every returned derivation is still replayed through ``run_derivation``
-    and must yield the input string.
+    Every item and backpointer is stored once, so the enumeration yields
+    each derivation once: exactly ``min(cap, total)`` are returned, with
+    no dedupe.  Every returned derivation is still replayed through
+    ``run_derivation`` and must yield the input string.
     """
     _check_parseable(grammar)
     started = time.perf_counter()
     chart = _Chart(grammar, list(words)).run()
     derivations = []
-    seen = set()
     if cap > 0:
         for bps in chart.backpointers.values():
             bps.sort()  # final once fill ends, so sorted once, not per visit
         # Goals differ only in tree id; sorting fixes their order, which
         # otherwise follows the agenda.
         raw = (d for goal in sorted(chart.goals) for d in chart.derivations(goal))
-        for deriv in islice(raw, cap * 4):
+        for deriv in islice(raw, cap):
             script = _to_derivation_tree(grammar, deriv)
-            key = script.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
             _, sentence = run_derivation(grammar, script)
             if sentence != " ".join(words):  # pragma: no cover - self check
                 raise AssertionError(
                     f"derivation replays to {sentence!r}, expected {' '.join(words)!r}"
                 )
             derivations.append(script)
-            if len(derivations) >= cap:
-                break
     stats = {
         "items": len(chart.backpointers),
         "trees": len(chart.trees),
@@ -337,8 +329,8 @@ def enumerate_language(grammar: Grammar, max_trees: int) -> set[str]:
             "cannot bound enumeration for a non-lexicalized grammar; "
             f"anchorless or multi-anchored trees: {', '.join(report.offenders)}"
         )
-    initials = [t for t in grammar.trees.values() if t.shape == INITIAL]
-    auxes = [t for t in grammar.trees.values() if t.shape == AUXILIARY]
+    initials = grammar.initial_trees()
+    auxes = grammar.auxiliary_trees()
     memo: dict[tuple[str, int], list[tuple[tuple, int]]] = {}
 
     def gen_tree(tree: ElementaryTree, budget: int) -> list[tuple[tuple, int]]:

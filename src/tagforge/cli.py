@@ -15,7 +15,7 @@ from .dependency import derivation_to_dependency, is_projective, parse_dependenc
 from .derive import parse_script, run_derivation
 from .errors import GrammarFormatError, TagError
 from .grammar import check_lexicalized, validate_tree
-from .grammar_io import parse_grammar, serialize_grammar
+from .grammar_io import parse_grammar
 from .linearize import linearize, parse_rules
 
 
@@ -115,16 +115,49 @@ def _cmd_validate(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _lexemes(grammar, script) -> dict[str, str]:
+    """Derivation-node labels: the anchor lexeme, else the tree or set id."""
+    return {
+        inst: tid if tid in grammar.tree_sets else (grammar.tree(tid).anchor_lexeme or tid)
+        for inst, tid in script.instances.items()
+    }
+
+
+# The structures a grammar and a script give, and their renderers by
+# --format.  Text renders a derivation or a derived tree as JSON.
+_STRUCTURES = {
+    "derivation": lambda grammar, script: (script, _lexemes(grammar, script)),
+    "derived": lambda grammar, script: run_derivation(grammar, script)[0],
+    "dep": lambda grammar, script: derivation_to_dependency(script, grammar),
+}
+_RENDERERS = {
+    "derivation": {
+        "text": lambda d: exports.derivation_to_json(d[0]),
+        "json": lambda d: exports.derivation_to_json(d[0]),
+        "dot": lambda d: exports.derivation_to_dot(*d),
+    },
+    "derived": {
+        "text": exports.phrase_to_json,
+        "json": exports.phrase_to_json,
+        "dot": exports.phrase_to_dot,
+    },
+    "dep": {
+        "text": serialize_dependency,
+        "json": exports.dependency_to_json,
+        "dot": exports.dependency_to_dot,
+    },
+}
+
+
 def _cmd_derive(args) -> int:
     grammar = _load_grammar(args)
     script = parse_script(_read(args.script), grammar)
     derived, sentence = run_derivation(grammar, script)
-    if args.format == "json":
-        _emit(exports.phrase_to_json(derived), args.out)
-    elif args.format == "dot":
-        _emit(exports.phrase_to_dot(derived), args.out)
-    else:
+    # Unlike export, derive prints the derived sentence as its text.
+    if args.format == "text":
         _emit(sentence, args.out)
+    else:
+        _emit(_RENDERERS["derived"][args.format](derived), args.out)
     return 0
 
 
@@ -166,22 +199,10 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _dep_from_args(args):
-    grammar = _load_grammar(args)
-    script = parse_script(_read(args.script), grammar)
-    dep = derivation_to_dependency(script, grammar)
-    # Dependency nodes show lexemes; keep instance ids only when needed.
-    return dep
-
-
 def _cmd_dep(args) -> int:
-    dep = _dep_from_args(args)
-    if args.format == "json":
-        _emit(exports.dependency_to_json(dep), args.out)
-    elif args.format == "dot":
-        _emit(exports.dependency_to_dot(dep), args.out)
-    else:
-        _emit(serialize_dependency(dep), args.out)
+    grammar = _load_grammar(args)
+    dep = derivation_to_dependency(parse_script(_read(args.script), grammar), grammar)
+    _emit(_RENDERERS["dep"][args.format](dep), args.out)
     return 0
 
 
@@ -214,50 +235,15 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.tree:
-        dep = parse_dependency(_read(args.tree))
-        rendered = (
-            exports.dependency_to_dot(dep)
-            if args.format == "dot"
-            else exports.dependency_to_json(dep)
-            if args.format == "json"
-            else serialize_dependency(dep)
-        )
-        _emit(rendered, args.out)
-        return 0
-    if not (args.grammar and args.script):
+        what, value = "dep", parse_dependency(_read(args.tree))
+    elif args.grammar and args.script:
+        grammar = _load_grammar(args)
+        script = parse_script(_read(args.script), grammar)
+        what, value = args.what, _STRUCTURES[args.what](grammar, script)
+    else:
         print("export needs either -t, or -g with -s", file=sys.stderr)
         return 2
-    grammar = _load_grammar(args)
-    script = parse_script(_read(args.script), grammar)
-    if args.what == "derivation":
-        lexemes = {
-            inst: grammar.tree(tid).anchor_lexeme or tid
-            if tid not in grammar.tree_sets
-            else tid
-            for inst, tid in script.instances.items()
-        }
-        rendered = (
-            exports.derivation_to_dot(script, lexemes)
-            if args.format == "dot"
-            else exports.derivation_to_json(script)
-        )
-    elif args.what == "derived":
-        derived, _ = run_derivation(grammar, script)
-        rendered = (
-            exports.phrase_to_dot(derived)
-            if args.format == "dot"
-            else exports.phrase_to_json(derived)
-        )
-    else:
-        dep = derivation_to_dependency(script, grammar)
-        rendered = (
-            exports.dependency_to_dot(dep)
-            if args.format == "dot"
-            else exports.dependency_to_json(dep)
-            if args.format == "json"
-            else serialize_dependency(dep)
-        )
-    _emit(rendered, args.out)
+    _emit(_RENDERERS[what][args.format](value), args.out)
     return 0
 
 

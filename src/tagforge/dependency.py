@@ -133,9 +133,10 @@ def derivation_to_dependency(derivation: DerivationTree, grammar: Grammar) -> De
 
 
 def _lexeme_for(grammar: Grammar, tree_id: str) -> str:
+    """A derivation node's lexeme: its tree's anchor, else the tree id.
+    A set occurrence takes its *last* member's anchor (in the bundled
+    corpus, that member carries the matrix verb)."""
     if tree_id in grammar.tree_sets:
-        # A set occurrence is one derivation node; its last member carries
-        # the matrix verb in the bundled corpus.
         return grammar.tree_sets[tree_id].members[-1].anchor_lexeme or tree_id
     tree = grammar.tree(tree_id)
     return tree.anchor_lexeme or tree_id

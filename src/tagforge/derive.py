@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import (
     GrammarFormatError,
@@ -17,15 +18,14 @@ from .errors import (
     ScriptError,
     SetArity,
     TagError,
+    UnknownTree,
     WrongShape,
 )
 from .grammar import AUXILIARY, INITIAL, ElementaryTree, Grammar, TreeSet
 from .trees import (
-    ANCHOR,
     FOOT,
     INTERIOR,
     SUBSTITUTION,
-    TERMINAL,
     WORD_KINDS,
     Address,
     TreeNode,
@@ -179,41 +179,37 @@ def adjoin_set(
     """Adjoin every member of a tree set in one atomic step.
 
     Sites are interpreted against the pre-step target; address shifts
-    caused by earlier members are resolved internally.
+    caused by earlier members are resolved internally.  The step is
+    atomic because operations are persistent: each member goes through
+    ``adjoin``, which never mutates its arguments, so when a member does
+    not fit, the error leaves ``target`` unchanged and no partial result
+    is returned.
     """
-    if len(sites) != len(tree_set.members):
+    return _adjoin_members(target, sites, tree_set.id, tree_set.members)
+
+
+def _adjoin_members(
+    target: PhraseTree,
+    sites: Sequence[Address],
+    set_id: str,
+    members: Sequence[ElementaryTree | PhraseTree],
+) -> PhraseTree:
+    """The body of ``adjoin_set``, for members given as elementary trees
+    or as trees already built (with their own derivation children)."""
+    if len(sites) != len(members):
         raise SetArity(
-            f"set {tree_set.id!r} has {len(tree_set.members)} members "
-            f"but {len(sites)} sites were given"
+            f"set {set_id!r} has {len(members)} members but {len(sites)} sites were given"
         )
     if len(set(sites)) != len(sites):
-        raise SetArity(f"set {tree_set.id!r}: sites must be pairwise distinct")
-    # Validate everything against the original target before touching it.
-    for site, member in zip(sites, tree_set.members):
-        node = target.node_at(site)
-        if node.kind != INTERIOR:
-            raise IllegalSite(
-                f"set member {member.id!r}: node at {format_address(site)} "
-                f"is a {node.kind} node"
-            )
-        if member.shape != AUXILIARY:
-            raise WrongShape(f"set member {member.id!r} is not auxiliary")
-        feet = member.foot_addresses()
-        if len(feet) != 1 or node.label != member.root.label:
-            raise LabelMismatch(
-                f"set member {member.id!r} does not fit site {format_address(site)}"
-            )
-
+        raise SetArity(f"set {set_id!r}: sites must be pairwise distinct")
     result = target
     applied: list[tuple[Address, Address]] = []  # (translated site, foot path)
-    for site, member in zip(sites, tree_set.members):
-        translated = site
+    for site, member in zip(sites, members):
         for prev_site, prev_foot in applied:
-            if is_prefix(prev_site, translated):
-                translated = prev_site + prev_foot + translated[len(prev_site):]
-        foot = member.foot_addresses()[0]
-        result = adjoin(result, translated, member)
-        applied.append((translated, foot))
+            if is_prefix(prev_site, site):
+                site = prev_site + prev_foot + site[len(prev_site):]
+        result = adjoin(result, site, member)
+        applied.append((site, _as_phrase(member).feet[0]))
     return result
 
 
@@ -299,18 +295,12 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
         for idx, step in children.get(instance, ()):
             try:
                 if step.op == "adjoin_set":
-                    tree_set = grammar.tree_sets[script.instances[step.child]]
-                    sites = step.site
-                    if len(sites) != len(tree_set.members):
-                        raise SetArity(
-                            f"set {tree_set.id!r} needs {len(tree_set.members)} sites"
-                        )
-                    if len(set(sites)) != len(sites):
-                        raise SetArity("set sites must be pairwise distinct")
-                    for member, orig_site in zip(tree_set.members, sites):
-                        member_pt = _build_member(member)
-                        here = phrase.address_of(instance, orig_site)
-                        phrase = adjoin(phrase, here, member_pt)
+                    set_id = script.instances[step.child]
+                    if set_id not in grammar.tree_sets:
+                        raise UnknownTree(f"no tree set named {set_id!r}")
+                    sites = [phrase.address_of(instance, s) for s in step.site]
+                    members = [_build_member(m) for m in grammar.tree_sets[set_id].members]
+                    phrase = _adjoin_members(phrase, sites, set_id, members)
                 else:
                     child_pt = build(step.child)
                     here = phrase.address_of(instance, step.site)
@@ -407,11 +397,11 @@ def parse_script(text: str, grammar: Grammar | None = None) -> DerivationTree:
     script = DerivationTree(root, instances, steps)
     script.validate()
     if grammar is not None:
-        for instance, tree_id in instances.items():
-            if tree_id not in grammar.trees and tree_id not in grammar.tree_sets:
+        for tree_id in instances.values():
+            if tree_id not in grammar.tree_sets:
                 try:
                     grammar.tree(tree_id)
-                except KeyError:
+                except UnknownTree:
                     raise GrammarFormatError(
                         f"script references unknown tree {tree_id!r}"
                     ) from None

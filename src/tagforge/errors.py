@@ -19,6 +19,10 @@ class CompositionError(TagError):
     """A CFG rule spine cannot be connected into a tree."""
 
 
+class UnknownTree(TagError):
+    """A lookup names an elementary tree or tree set the grammar lacks."""
+
+
 class IllegalSite(TagError):
     """Operation targets a node of the wrong kind."""
 

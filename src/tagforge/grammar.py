@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import CompositionError
+from .errors import CompositionError, UnknownTree
 from .trees import (
     ANCHOR,
     FOOT,
@@ -15,6 +15,8 @@ from .trees import (
     Address,
     TreeNode,
     format_address,
+    node_at,
+    replace_at,
     walk,
 )
 
@@ -61,8 +63,6 @@ class ElementaryTree:
         return self.node_at(anchors[0]).label
 
     def node_at(self, address: Address) -> TreeNode:
-        from .trees import node_at
-
         return node_at(self.root, address)
 
     @cached_property
@@ -134,7 +134,7 @@ class Grammar:
             for member in ts.members:
                 if member.id == tree_id:
                     return member
-        raise KeyError(f"no tree named {tree_id!r}")
+        raise UnknownTree(f"no tree named {tree_id!r}")
 
     def initial_trees(self) -> list[ElementaryTree]:
         return [t for t in self.trees.values() if t.shape == INITIAL]
@@ -226,6 +226,33 @@ def _rule_to_node(rule: CfgRule) -> TreeNode:
     return TreeNode(INTERIOR, rule.lhs, tuple(children))
 
 
+def _walk_spine(
+    rules: Sequence[CfgRule], spine: Sequence[tuple[int, int]]
+) -> Iterator[tuple[CfgRule, int]]:
+    """Yield (rule, position) along a spine.  The first rule comes with
+    position 0; each later rule comes with the 1-based RHS position of its
+    predecessor that it rewrites, once it is checked that it can."""
+    if not spine:
+        raise CompositionError("empty spine")
+    prev_rule = None
+    for rule_idx, pos in spine:
+        rule = rules[rule_idx]
+        if prev_rule is None:
+            pos = 0
+        else:
+            if not 1 <= pos <= len(prev_rule.rhs):
+                raise CompositionError(
+                    f"rule {rule.lhs!r}: attachment position {pos} outside predecessor RHS"
+                )
+            target = prev_rule.rhs[pos - 1]
+            if isinstance(target, Word) or target != rule.lhs:
+                raise CompositionError(
+                    f"rule {rule.lhs!r} cannot rewrite RHS item {target!r} at position {pos}"
+                )
+        yield rule, pos
+        prev_rule = rule
+
+
 def compose_rules(
     rules: Sequence[CfgRule],
     spine: Sequence[tuple[int, int]],
@@ -239,97 +266,44 @@ def compose_rules(
     substitution nodes; the first terminal introduced by the last spine
     rule becomes the anchor.
     """
-    if not spine:
-        raise CompositionError("empty spine")
-    first_idx, _ = spine[0]
-    root = _rule_to_node(rules[first_idx])
-    prev_rule = rules[first_idx]
-    prev_addr: tuple[int, ...] = ()
-    for rule_idx, pos in spine[1:]:
-        rule = rules[rule_idx]
-        if not 1 <= pos <= len(prev_rule.rhs):
-            raise CompositionError(
-                f"rule {rule.lhs!r}: attachment position {pos} outside predecessor RHS"
-            )
-        target = prev_rule.rhs[pos - 1]
-        if isinstance(target, Word) or target != rule.lhs:
-            raise CompositionError(
-                f"rule {rule.lhs!r} cannot rewrite RHS item {target!r} at position {pos}"
-            )
-        addr = prev_addr + (pos,)
-        root = _replace_subst(root, addr, _rule_to_node(rule))
-        prev_rule, prev_addr = rule, addr
+    addr: Address = ()
+    for rule, pos in _walk_spine(rules, spine):
+        if pos == 0:
+            root = _rule_to_node(rule)
+            continue
+        addr += (pos,)
+        if node_at(root, addr).kind != SUBSTITUTION:
+            raise CompositionError(f"node at {format_address(addr)} already expanded")
+        root = replace_at(root, addr, _rule_to_node(rule))
 
     # Mark the anchor inside the expansion of the final spine rule.
-    anchor_index = None
-    for i, item in enumerate(prev_rule.rhs, start=1):
+    for i, item in enumerate(rule.rhs, start=1):
         if isinstance(item, Word):
-            anchor_index = i
+            anchor = addr + (i,)
+            root = replace_at(root, anchor, TreeNode(ANCHOR, node_at(root, anchor).label))
             break
-    if anchor_index is not None:
-        addr = prev_addr + (anchor_index,)
-        from .trees import node_at, replace_at
-
-        word = node_at(root, addr)
-        root = replace_at(root, addr, TreeNode(ANCHOR, word.label))
     return ElementaryTree(tree_id, INITIAL, root)
-
-
-def _replace_subst(root: TreeNode, address: Address, replacement: TreeNode) -> TreeNode:
-    from .trees import node_at, replace_at
-
-    old = node_at(root, address)
-    if old.kind != SUBSTITUTION:
-        raise CompositionError(f"node at {format_address(address)} already expanded")
-    return replace_at(root, address, replacement)
 
 
 def merge_rules(rules: Sequence[CfgRule], spine: Sequence[tuple[int, int]]) -> CfgRule:
     """Flatten a rule spine into a single rewrite rule instead of a tree."""
-    if not spine:
-        raise CompositionError("empty spine")
-    first_idx, _ = spine[0]
-    lhs = rules[first_idx].lhs
-    rhs = list(rules[first_idx].rhs)
-    # Track where each RHS item of the most recently merged rule now sits.
+    # Where the RHS of the most recently merged rule starts in ``rhs``.
     offset = 0
-    prev_rule = rules[first_idx]
-    for rule_idx, pos in spine[1:]:
-        rule = rules[rule_idx]
-        if not 1 <= pos <= len(prev_rule.rhs):
-            raise CompositionError(
-                f"rule {rule.lhs!r}: attachment position {pos} outside predecessor RHS"
-            )
-        target = prev_rule.rhs[pos - 1]
-        if isinstance(target, Word) or target != rule.lhs:
-            raise CompositionError(
-                f"rule {rule.lhs!r} cannot rewrite RHS item {target!r} at position {pos}"
-            )
+    for rule, pos in _walk_spine(rules, spine):
+        if pos == 0:
+            lhs, rhs = rule.lhs, list(rule.rhs)
+            continue
         at = offset + pos - 1
         rhs[at : at + 1] = list(rule.rhs)
         offset = at
-        prev_rule = rule
     return CfgRule(lhs, tuple(rhs))
 
 
 def cfg_to_trees(rules: Sequence[CfgRule], prefix: str = "r") -> list[ElementaryTree]:
     """Encode CFG rules one-to-one as depth-1 trees.
 
-    The first terminal of a rule, if any, becomes the anchor; purely
-    nonterminal rules yield anchorless trees that the lexicalization
-    check will flag.
+    Each tree is the composition of a one-rule spine: the first terminal
+    of a rule, if any, becomes the anchor; purely nonterminal rules yield
+    anchorless trees that the lexicalization check will flag.
     """
-    trees = []
-    for i, rule in enumerate(rules, start=1):
-        children = []
-        anchored = False
-        for item in rule.rhs:
-            if isinstance(item, Word):
-                kind = TERMINAL if anchored else ANCHOR
-                anchored = True
-                children.append(TreeNode(kind, str(item)))
-            else:
-                children.append(TreeNode(SUBSTITUTION, item))
-        root = TreeNode(INTERIOR, rule.lhs, tuple(children))
-        trees.append(ElementaryTree(f"{prefix}{i}", INITIAL, root))
-    return trees
+    return [compose_rules(rules, [(i, 0)], f"{prefix}{i + 1}") for i in range(len(rules))]

@@ -24,7 +24,6 @@ from .trees import (
     SUBSTITUTION,
     TERMINAL,
     TreeNode,
-    walk,
 )
 
 _TOKEN_RE = re.compile(

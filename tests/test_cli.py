@@ -197,3 +197,39 @@ def test_projective_rootless_file_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: dependency file has no root node"]
+
+
+@pytest.mark.parametrize(
+    "grammar, script, message",
+    [
+        (
+            "english.tag",
+            "use alpha1\nadjoinset alpha2 -> alpha1 @ 1, 2 label S\n",
+            "error: ScriptError: step 0: no tree set named 'alpha2'",
+        ),
+        (
+            "german_mc.tag",
+            "use alpha_inf\nsubst sigma_m -> alpha_inf @ 1.1 label 1\n",
+            "error: ScriptError: step 0: no tree named 'sigma_m'",
+        ),
+    ],
+)
+def test_unknown_tree_in_step_exit_1(tmp_path, grammar, script, message):
+    """A step naming a tree where a set belongs, or a set where a tree
+    belongs, is a domain error of that step."""
+    path = tmp_path / "bad.drv"
+    path.write_text(script, encoding="utf-8")
+    src = str(Path(tf.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", "derive", "-g", f"corpus:{grammar}", "-s", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [message]

@@ -14,9 +14,10 @@ from tagforge.errors import (
     LabelMismatch,
     ScriptError,
     SetArity,
+    UnknownTree,
     WrongShape,
 )
-from tagforge.trees import count_nodes, is_prefix, walk, yield_words
+from tagforge.trees import count_nodes, format_address, is_prefix, parse_address, walk, yield_words
 
 from conftest import load_script, random_auxiliary, random_initial
 
@@ -117,6 +118,67 @@ def test_adjoin_set_arity(german_mc):
         tf.adjoin_set(target, [(1,), (1,)], sigma)
 
 
+def test_adjoin_set_member_foot_count_is_a_shape_error(german_mc):
+    """A member with no foot or two feet fails inside ``adjoin`` with
+    WrongShape, and the target is left as it was."""
+    target = PhraseTree.from_elementary(german_mc.tree("alpha_inf"))
+    beta_a = german_mc.tree("beta_a")
+    for expr in ('(S "x"@)', '(S S* "x"@ S*)'):
+        member = tf.ElementaryTree("bad", "aux", tf.parse_tree_expr(expr))
+        with pytest.raises(WrongShape):
+            tf.adjoin_set(target, [(1,), (2, 2)], tf.TreeSet("sigma", (beta_a, member)))
+    assert target == PhraseTree.from_elementary(german_mc.tree("alpha_inf"))
+
+
+FIG15_PREFIX = (
+    "use alpha_inf\n"
+    "subst np_acc -> alpha_inf @ 2.1 label 1\n"
+    "subst np_gen -> alpha_inf @ 1.1 label 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "sites, child, cause",
+    [
+        ("1", "sigma_m", SetArity),  # one site for two members
+        ("1, 1", "sigma_m", SetArity),  # repeated site
+        ("1, 2.1", "sigma_m", IllegalSite),  # site filled by substitution
+        ("1, 2.2.1.2", "sigma_m", IllegalSite),  # anchor, not interior
+        ("2.2.1, 2.2", "sigma_m", LabelMismatch),  # VP site for an S member
+        ("1, 2.2", "beta_a", UnknownTree),  # a set member, not a set
+    ],
+)
+def test_adjoinset_step_fault_names_the_step(german_mc, sites, child, cause):
+    step = f"adjoinset {child} -> alpha_inf @ {sites} label S"
+    script = tf.parse_script(FIG15_PREFIX + step, german_mc)
+    with pytest.raises(ScriptError) as excinfo:
+        tf.run_derivation(german_mc, script)
+    assert excinfo.value.step_index == 2
+    assert type(excinfo.value.cause) is cause
+
+
+@pytest.mark.parametrize("sites", ["1, 2.2", "0, 2.2", "0, 2", "2, 0", "2.2, 2"])
+def test_adjoinset_step_matches_adjoin_set(german_mc, sites):
+    """A script's set step gives the tree ``adjoin_set`` gives on the tree
+    before the step, and the tree of adjoining the members one at a time
+    at sites found by provenance, also when one site lies below another."""
+    script = tf.parse_script(
+        FIG15_PREFIX + f"adjoinset sigma_m -> alpha_inf @ {sites} label S", german_mc
+    )
+    derived, _ = tf.run_derivation(german_mc, script)
+    before = PhraseTree.from_elementary(german_mc.tree("alpha_inf"))
+    before = tf.substitute(before, (2, 1), german_mc.tree("np_acc"))
+    before = tf.substitute(before, (1, 1), german_mc.tree("np_gen"))
+    originals = [parse_address(s) for s in sites.split(",")]
+    sigma = german_mc.tree_sets["sigma_m"]
+    assert derived == tf.adjoin_set(before, originals, sigma)
+    one_by_one = before
+    for member, original in zip(sigma.members, originals):
+        here = one_by_one.address_of("alpha_inf", original)
+        one_by_one = tf.adjoin(one_by_one, here, member)
+    assert derived == one_by_one
+
+
 # -- golden derivations ------------------------------------------------
 
 
@@ -157,6 +219,41 @@ def test_fig15_yield(german_mc):
         "daß des Verbrechens der Detektiv den Verdächtigen niemandem "
         "zu überführen verspricht"
     )
+
+
+def test_fig15_derived_tree_and_provenance(german_mc):
+    derived, _ = tf.run_derivation(german_mc, load_script("fig15.drv", german_mc))
+    assert derived.root == tf.parse_tree_expr(
+        '(S (S "daß" (S (NP "des" "Verbrechens"@)) "der" "Detektiv"@) '
+        '(S (NP "den" "Verdächtigen"@) '
+        '(S "niemandem" (S (VP "zu" "überführen"@)) "verspricht"@)))'
+    )
+    provenance = {
+        format_address(addr): (instance, format_address(original))
+        for addr, (instance, original) in derived.provenance.items()
+    }
+    assert provenance == {
+        "0": ("alpha_inf", "0"),
+        "1": ("beta_a", "0"),
+        "1.1": ("beta_a", "1"),
+        "1.2": ("alpha_inf", "1"),
+        "1.2.1": ("np_gen", "0"),
+        "1.2.1.1": ("np_gen", "1"),
+        "1.2.1.2": ("np_gen", "2"),
+        "1.3": ("beta_a", "3"),
+        "1.4": ("beta_a", "4"),
+        "2": ("alpha_inf", "2"),
+        "2.1": ("np_acc", "0"),
+        "2.1.1": ("np_acc", "1"),
+        "2.1.2": ("np_acc", "2"),
+        "2.2": ("beta_b", "0"),
+        "2.2.1": ("beta_b", "1"),
+        "2.2.2": ("alpha_inf", "2.2"),
+        "2.2.2.1": ("alpha_inf", "2.2.1"),
+        "2.2.2.1.1": ("alpha_inf", "2.2.1.1"),
+        "2.2.2.1.2": ("alpha_inf", "2.2.1.2"),
+        "2.2.3": ("beta_b", "3"),
+    }
 
 
 def test_incomplete_derivation(english):

@@ -256,3 +256,29 @@ def test_pp_attachment_derivations_in_canonical_order():
     assert len(set(full)) == 429
     head = [d.canonical() for d in tf.parse(grammar, words, cap=50).derivations]
     assert head == full[:50]
+
+
+def test_parse_never_returns_a_derivation_twice():
+    """Each item and backpointer is stored once, so no derivation is read
+    off the chart twice; ``parse`` keeps no dedupe of its own."""
+    for name in GOLDEN_GRAMMARS:
+        grammar = tf.parse_grammar(corpus.read(name))
+        for sentence in sorted(tf.enumerate_language(grammar, 6)):
+            result = tf.parse(grammar, sentence.split(), cap=10**6)
+            keys = [d.canonical() for d in result.derivations]
+            assert len(set(keys)) == len(keys), sentence
+
+
+CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862)
+
+
+def test_parse_cap_returns_a_prefix_of_all_derivations():
+    grammar = tf.parse_grammar(PP_GRAMMAR)
+    for k in range(9):
+        words = "John saw Lyn".split() + ["with", "telescope"] * k
+        full = [d.canonical() for d in tf.parse(grammar, words, cap=10**6).derivations]
+        assert len(full) == CATALAN[k + 1]
+        for cap in (1, 7, 50, 500):
+            head = [d.canonical() for d in tf.parse(grammar, words, cap=cap).derivations]
+            assert len(head) == min(cap, len(full))
+            assert head == full[:cap]
