@@ -264,10 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GrammarFormatError as exc:
+    except (OSError, KeyError, GrammarFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TagError as exc:

@@ -261,9 +261,7 @@ class DerivationTree:
                 if node in seen:
                     raise GrammarFormatError(f"cycle through instance {node!r}")
                 seen.add(node)
-                node = parents.get(node)
-                if node is None:
-                    raise GrammarFormatError("disconnected derivation step")
+                node = parents[node]  # every parent is the root or a child
 
     def canonical(self):
         """Order-independent structural form, for equality checks."""

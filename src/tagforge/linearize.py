@@ -2,7 +2,9 @@
 
 Every dependency node is assigned a pair of string segments (Y1, Y2) by
 exactly one matching rule; segments of a dependent are placed whole,
-never broken up.  The rule file format::
+never broken up.  This holds by construction (each term places whole
+segments, and each segment is placed exactly once) and is checked as a
+property in ``tests/test_linearize.py``.  The rule file format::
 
     class V = zien helpen leren zwemmen
     rule syntagm1 when head.cat=V and exists dep with dep.cat=V {
@@ -22,15 +24,16 @@ Covert nodes contribute nothing and are invisible to the guards.
 visit over the tree's head -> dependents index, so depth is bounded by
 memory, not by the interpreter's recursion limit.  Each node's overt
 dependents are listed once and shared by rule matching, ``dep`` binding
-and composition.  ``linearize`` drops each dependent's pair once its
-head's pair is built, which keeps memory linear in the tree's size even
-on deep chains; ``segment_pairs`` returns every pair.
+and composition.  The visit drops each dependent's pair once its head's
+pair is built, which keeps memory linear in the tree's size even on deep
+chains; ``linearize`` reads the root's pair and ``segment_pairs`` keeps
+every pair.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .dependency import DependencyTree
 from .derive import ACTANT_RE
@@ -332,27 +335,7 @@ def linearize_node(
             f"rule {rule.name!r} at {lexeme!r}: segments of {off_count} "
             "not placed exactly once"
         )
-    pair = SegmentPair(tuple(y1), tuple(y2))
-    _assert_atomic(pair, [dep_pairs[d] for d, _ in deps])
-    return pair
-
-
-def _assert_atomic(pair: SegmentPair, dep_pairs: Sequence[SegmentPair]) -> None:
-    # Segments may be shifted around but never broken up.
-    segments = [list(pair.y1), list(pair.y2)]
-    for dep_pair in dep_pairs:
-        for part in (list(dep_pair.y1), list(dep_pair.y2)):
-            if not part:
-                continue
-            if not any(_contiguous(part, seg) for seg in segments):
-                raise TagError(
-                    f"segment {' '.join(part)!r} was broken up during composition"
-                )
-
-
-def _contiguous(part: list[str], seg: list[str]) -> bool:
-    n = len(part)
-    return any(seg[i : i + n] == part for i in range(len(seg) - n + 1))
+    return SegmentPair(tuple(y1), tuple(y2))
 
 
 def _postorder(tree: DependencyTree) -> Iterator[tuple[str, list[tuple[str, str]]]]:
@@ -371,21 +354,28 @@ def _postorder(tree: DependencyTree) -> Iterator[tuple[str, list[tuple[str, str]
         stack.extend((dep, None) for dep, _ in reversed(deps))
 
 
-def linearize(tree: DependencyTree, ruleset: RuleSet) -> list[str]:
-    """Compute the surface word sequence (DMorphR) of a dependency tree."""
+def _pairs(tree: DependencyTree, ruleset: RuleSet) -> Iterator[tuple[str, SegmentPair]]:
+    """Validate ``tree``, then yield (node, segment pair) in post-order;
+    errors name the node path, and a pair is dropped once its head's is built."""
     tree.validate()
     pairs: dict[str, SegmentPair] = {}
     for node_id, deps in _postorder(tree):
         try:
-            pairs[node_id] = linearize_node(tree, node_id, pairs, ruleset, deps)
+            pair = linearize_node(tree, node_id, pairs, ruleset, deps)
         except TagError as exc:
             exc.args = (f"{exc.args[0]} (at {_path(tree, node_id)})",) + exc.args[1:]
             raise
-        # A pair is read only by its head: dropping consumed pairs keeps
-        # memory linear in the tree's size even on deep chains.
         for dep, _ in deps:
             del pairs[dep]
-    words = pairs[tree.root].words()
+        pairs[node_id] = pair
+        yield node_id, pair
+
+
+def linearize(tree: DependencyTree, ruleset: RuleSet) -> list[str]:
+    """Compute the surface word sequence (DMorphR) of a dependency tree."""
+    for _, root_pair in _pairs(tree, ruleset):
+        pass  # post-order: the root's pair comes last
+    words = root_pair.words()
     overt_count = len(tree.overt_nodes())
     if len(words) != overt_count:
         raise TagError(
@@ -396,11 +386,7 @@ def linearize(tree: DependencyTree, ruleset: RuleSet) -> list[str]:
 
 def segment_pairs(tree: DependencyTree, ruleset: RuleSet) -> dict[str, SegmentPair]:
     """All intermediate segment pairs, keyed by node id."""
-    tree.validate()
-    pairs: dict[str, SegmentPair] = {}
-    for node_id, deps in _postorder(tree):
-        pairs[node_id] = linearize_node(tree, node_id, pairs, ruleset, deps)
-    return pairs
+    return dict(_pairs(tree, ruleset))
 
 
 def _path(tree: DependencyTree, node_id: str) -> str:

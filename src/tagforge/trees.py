@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import GrammarFormatError
+from .errors import GrammarFormatError, IllegalSite
 
 INTERIOR = "interior"
 SUBSTITUTION = "substitution"
@@ -66,7 +66,7 @@ def node_at(root: TreeNode, address: Address) -> TreeNode:
     node = root
     for index in address:
         if not 1 <= index <= len(node.children):
-            raise KeyError(f"address {format_address(address)} out of bounds")
+            raise IllegalSite(f"address {format_address(address)} out of bounds")
         node = node.children[index - 1]
     return node
 
@@ -77,7 +77,7 @@ def replace_at(root: TreeNode, address: Address, replacement: TreeNode) -> TreeN
         return replacement
     index = address[0]
     if not 1 <= index <= len(root.children):
-        raise KeyError(f"address component {index} out of bounds")
+        raise IllegalSite(f"address component {index} out of bounds")
     children = list(root.children)
     children[index - 1] = replace_at(children[index - 1], address[1:], replacement)
     return TreeNode(root.kind, root.label, tuple(children))

@@ -155,6 +155,12 @@ def test_missing_file_exit_2(capsys):
     assert "error" in err
 
 
+def test_unknown_corpus_file_exit_2(capsys):
+    code, _, err = run(capsys, "validate", "-g", "corpus:nonexistent.tag")
+    assert code == 2
+    assert err == "error: \"no bundled corpus file 'nonexistent.tag'\"\n"
+
+
 def test_format_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.tag"
     bad.write_text("tree ??? nonsense", encoding="utf-8")

@@ -17,7 +17,15 @@ from tagforge.errors import (
     UnknownTree,
     WrongShape,
 )
-from tagforge.trees import count_nodes, format_address, is_prefix, parse_address, walk, yield_words
+from tagforge.trees import (
+    count_nodes,
+    format_address,
+    is_prefix,
+    parse_address,
+    replace_at,
+    walk,
+    yield_words,
+)
 
 from conftest import load_script, random_auxiliary, random_initial
 
@@ -79,6 +87,17 @@ def test_adjoin_at_leaf_rejected(english):
     target = PhraseTree.from_elementary(english.tree("alpha1"))
     with pytest.raises(IllegalSite):
         tf.adjoin(target, (1,), english.tree("beta1"))  # NP substitution leaf
+
+
+def test_site_out_of_bounds_is_illegal_site(english):
+    # A site outside the tree is a domain error, not a bare KeyError.
+    target = PhraseTree.from_elementary(english.tree("alpha1"))
+    with pytest.raises(IllegalSite, match="address 9 out of bounds"):
+        tf.adjoin(target, (9,), english.tree("beta1"))
+    with pytest.raises(IllegalSite, match="address 1.3 out of bounds"):
+        tf.substitute(target, (1, 3), english.tree("alpha2"))
+    with pytest.raises(IllegalSite, match="component 4 out of bounds"):
+        replace_at(target.root, (2, 4), target.root)
 
 
 def test_adjoin_label_mismatch(english):

@@ -20,6 +20,29 @@ def fig18():
     return tf.parse_dependency(corpus.read("fig18.dep"))
 
 
+def _contains(segment, part):
+    n = len(part)
+    return any(segment[i : i + n] == part for i in range(len(segment) - n + 1))
+
+
+def assert_atomic(tree, pairs):
+    """Segments are placed whole: every non-empty Y1 or Y2 of a dependent
+    appears contiguously in its head's Y1 or Y2.  The rules used here put
+    a dependent's two segments into different head segments, or side by
+    side with Y1 first (``nominals``, ``deps(L)``, ``dep.y1 ++ dep.y2``),
+    so where one head segment holds both, Y1 + Y2 appears there whole."""
+    for head, dep, _ in tree.arcs:
+        if head not in pairs or dep not in pairs:
+            continue  # covert
+        segments = (pairs[head].y1, pairs[head].y2)
+        y1, y2 = pairs[dep].y1, pairs[dep].y2
+        for part in (y1, y2):
+            assert not part or any(_contains(seg, part) for seg in segments), (dep, part)
+        for seg in segments:
+            if y1 and y2 and _contains(seg, y1) and _contains(seg, y2):
+                assert _contains(seg, y1 + y2), (dep, seg)
+
+
 def test_zwemmen_leaf_pair(dutch_rules, fig18):
     pairs = tf.segment_pairs(fig18, dutch_rules)
     assert pairs["zwemmen"].as_strings() == ("", "zwemmen")
@@ -43,6 +66,7 @@ def test_full_dutch_linearization(dutch_rules, fig18):
     assert " ".join(words) == (
         "omdat Wim Jan Marie de kinderen zien helpen leren zwemmen"
     )
+    assert_atomic(fig18, tf.segment_pairs(fig18, dutch_rules))
 
 
 def test_single_node_tree(dutch_rules):
@@ -57,6 +81,7 @@ def test_english_projective_rules(english):
     derived_sentence = tf.run_derivation(english, script)[1]
     words = tf.linearize(dep, rules)
     assert " ".join(words) == derived_sentence == "John really likes Lyn"
+    assert_atomic(dep, tf.segment_pairs(dep, rules))
     # Projective degenerate case: the produced order is projective.
     order = resolve_order(dep, words)
     assert tf.is_projective(dep, order).projective
@@ -114,7 +139,10 @@ def test_error_names_node_path():
     tree = tf.parse_dependency("dep a { b:1 { c:1 } }")
     with pytest.raises(NoRule) as excinfo:
         tf.linearize(tree, ruleset)
-    assert "a/b" in str(excinfo.value)
+    assert str(excinfo.value) == "no syntagm rule matches node 'b' (at a/b)"
+    with pytest.raises(NoRule) as excinfo:
+        tf.segment_pairs(tree, ruleset)
+    assert str(excinfo.value) == "no syntagm rule matches node 'b' (at a/b)"
 
 
 def test_covert_nodes_contribute_nothing(dutch_rules):
@@ -159,6 +187,21 @@ def test_nominals_sorted_by_actant_index():
     assert tf.linearize(tree, ruleset) == ["Jan", "Marie", "helpt"]
 
 
+def test_whole_dependent_keeps_its_segments_in_order():
+    # nominals(byActant) places a dependent whose Y1 and Y2 are both
+    # non-empty: Y1 then Y2, each unbroken.
+    ruleset = tf.parse_rules(
+        "rule embed when head.lex=sagt { y1 = nominals(byActant) ++ head ; y2 = empty }\n"
+        "rule split when head.lex=kommt { y1 = deps(1) ; y2 = head }\n"
+        "rule leaf when not exists dep { y1 = head ; y2 = empty }"
+    )
+    tree = tf.parse_dependency("dep sagt { Jan:1 kommt:2 { Maria:1 } }")
+    pairs = tf.segment_pairs(tree, ruleset)
+    assert_atomic(tree, pairs)
+    assert pairs["kommt"].as_strings() == ("Maria", "kommt")
+    assert pairs["sagt"].as_strings() == ("Jan Maria kommt sagt", "")
+
+
 def test_deep_chain_without_recursion():
     # Each node's words are its own, then its dependent's: the chain reads
     # in order.  Deeper than the interpreter's recursion limit.
@@ -171,6 +214,7 @@ def test_deep_chain_without_recursion():
     pairs = tf.segment_pairs(tree, rules)
     assert list(pairs) == list(tree.nodes)[::-1]  # dependents first
     assert pairs[tree.root].words() == words
+    assert_atomic(tree, pairs)
 
 
 def test_class_lookup_takes_first_listing_class():

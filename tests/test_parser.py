@@ -260,13 +260,17 @@ def test_pp_attachment_derivations_in_canonical_order():
 
 def test_parse_never_returns_a_derivation_twice():
     """Each item and backpointer is stored once, so no derivation is read
-    off the chart twice; ``parse`` keeps no dedupe of its own."""
+    off the chart twice; ``parse`` keeps no dedupe of its own.  ``parse``
+    does not replay what it returns either, so every derivation is
+    replayed here and must yield its sentence."""
     for name in GOLDEN_GRAMMARS:
         grammar = tf.parse_grammar(corpus.read(name))
         for sentence in sorted(tf.enumerate_language(grammar, 6)):
             result = tf.parse(grammar, sentence.split(), cap=10**6)
             keys = [d.canonical() for d in result.derivations]
             assert len(set(keys)) == len(keys), sentence
+            for derivation in result.derivations:
+                assert tf.run_derivation(grammar, derivation)[1] == sentence
 
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862)
@@ -276,7 +280,10 @@ def test_parse_cap_returns_a_prefix_of_all_derivations():
     grammar = tf.parse_grammar(PP_GRAMMAR)
     for k in range(9):
         words = "John saw Lyn".split() + ["with", "telescope"] * k
-        full = [d.canonical() for d in tf.parse(grammar, words, cap=10**6).derivations]
+        derivations = tf.parse(grammar, words, cap=10**6).derivations
+        for derivation in derivations:
+            assert tf.run_derivation(grammar, derivation)[1] == " ".join(words)
+        full = [d.canonical() for d in derivations]
         assert len(full) == CATALAN[k + 1]
         for cap in (1, 7, 50, 500):
             head = [d.canonical() for d in tf.parse(grammar, words, cap=cap).derivations]
