@@ -24,6 +24,17 @@ exactly the first ``cap``, with no dedupe and no replay: each backpointer
 is a proof step.  That every derivation replays to its sentence is a
 property checked in ``tests/test_parser.py``.
 
+Enumeration is lazy, in the manner of Huang & Chiang 2005 ("Better
+k-best parsing", Algorithm 3; with uniform weights its order is the
+lexicographic order above).  Every item reached keeps the prefix of its
+derivations found so far, shared by every item that uses it.  A request
+for an item's first n derivations is met on demand, from an explicit
+stack: it extends the item's prefix in bulk and asks each child only for
+the derivations that extension needs.  Each derivation of every item is
+built once, so the cost grows with the derivations returned, not with
+the whole forest; and since nothing recurses, deep derivations (hundreds
+of stacked adjunctions) are read off like shallow ones.
+
 ``enumerate_language`` is an independent brute-force oracle: it expands
 every derivation using a bounded number of elementary trees, without
 touching the chart machinery.
@@ -33,8 +44,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator
 
 from .derive import DerivationStep, DerivationTree
 from .errors import RefuseUnbounded
@@ -46,6 +55,7 @@ from .trees import (
     TERMINAL,
     WORD_KINDS,
     Address,
+    format_address,
 )
 
 
@@ -194,72 +204,218 @@ class _Chart:
                 self._adjoin(bottom, item)
             self.aux_by_foot.setdefault((label, p, q), []).append(item)
 
-    # -- derivation extraction ----------------------------------------
 
-    def derivations(self, item: tuple) -> Iterator[tuple]:
-        """Yield (tree_id, ops) pairs for a complete-tree item, where ops
-        is a list of ('substitute'|'adjoin', site, subderivation)."""
-        tid = item[1]
-        for ops in self._ops(item):
-            yield (tid, ops)
+# -- derivation extraction --------------------------------------------
 
-    def _ops(self, item: tuple) -> Iterator[list]:
-        for bp in self.backpointers[item]:
-            kind = bp[0]
-            if kind in ("lex", "foot"):
-                yield []
-            elif kind == "subst":
-                site = item[2]
-                for sub in self.derivations(bp[1]):
-                    yield [("substitute", site, sub)]
-            elif kind in ("noadj", "children", "first"):
-                yield from self._ops(bp[1])
-            elif kind == "concat":
-                for left in self._ops(bp[1]):
-                    for right in self._ops(bp[2]):
-                        yield left + right
-            elif kind == "adjoin":
-                site = item[2]
-                for below in self._ops(bp[1]):
-                    for sub in self.derivations(bp[2]):
-                        yield below + [("adjoin", site, sub)]
-            else:  # pragma: no cover
-                raise AssertionError(f"unknown backpointer {kind!r}")
+# Backpointers that pass their one child's derivations through unchanged.
+_UNARY = frozenset(("noadj", "children", "first"))
+# Backpointers of items with no ops below them.
+_LEAF = frozenset(("lex", "foot"))
 
 
-def _substitution_rank(tree: ElementaryTree, site: Address) -> str:
-    """MTT-style actant number: position of the site among the tree's
-    substitution addresses in preorder."""
-    return str(tree.substitution_addresses().index(site) + 1)
+class _Cursor:
+    """One item's derivations found so far, in canonical order, and where
+    its enumeration stands: backpointer ``b``, and inside a two-child
+    backpointer, left index ``l`` and right index ``r`` (left-major)."""
+
+    __slots__ = ("item", "bps", "vals", "done", "b", "l", "r", "left", "right", "waiting")
+
+    def __init__(self, item: tuple, bps: list[tuple]):
+        self.item = item
+        self.bps = bps
+        self.vals: list[tuple] = []
+        self.done = False
+        self.b = self.l = self.r = 0
+        self.left: _Cursor | None = None
+        self.right: _Cursor | None = None
+        self.waiting = -1  # stack index of the request waiting on children
+
+    def next_backpointer(self) -> None:
+        self.b += 1
+        self.l = self.r = 0
+        self.left = self.right = None
 
 
-def _to_derivation_tree(grammar: Grammar, deriv: tuple) -> DerivationTree:
-    counters: dict[str, int] = {}
+class _Derivations:
+    """Demand-driven enumeration of a filled chart's derivations.
 
-    def fresh(tree_id: str) -> str:
-        counters[tree_id] = counters.get(tree_id, 0) + 1
-        if counters[tree_id] == 1:
-            return tree_id
-        return f"{tree_id}#{counters[tree_id]}"
+    Every item reached keeps the prefix of its derivations found so far
+    (an ops tuple each), and every item that uses it shares that prefix.
+    A request ``(cursor, n)`` extends the prefix in bulk from what the
+    children have found and asks each child only for what the extension
+    still needs; an explicit stack drives the requests, so nothing
+    recurses.  An op is ``(op, site, arc label, child tree id, child
+    ops)``; each label is resolved once per (tree, site) and cached, so
+    building a derivation needs no grammar lookups.
+    """
 
-    result = DerivationTree(root="")
+    def __init__(self, chart: _Chart):
+        self.backpointers = chart.backpointers
+        self.trees = chart.trees
+        self.start = chart.start
+        self.cursors: dict[tuple, _Cursor] = {}
+        self.leaf = _Cursor((), [])  # one derivation, with no ops
+        self.leaf.vals.append(())
+        self.leaf.done = True
+        self.labels: dict[tuple, str] = {}
 
-    def build(node: tuple) -> str:
-        tree_id, ops = node
-        instance = fresh(tree_id)
-        result.instances[instance] = tree_id
-        for op, site, sub in ops:
-            child = build(sub)
-            if op == "substitute":
-                label = _substitution_rank(grammar.tree(tree_id), site)
+    def first(self, goals: list[tuple], cap: int) -> list[DerivationTree]:
+        """The first ``cap`` derivations of the goals, in the given order."""
+        found: list[DerivationTree] = []
+        for goal in goals:
+            room = cap - len(found)
+            if room <= 0:
+                break
+            cursor = self._cursor(goal)
+            self._request(cursor, room)
+            found += [_derivation_tree(goal[1], ops) for ops in cursor.vals[:room]]
+        return found
+
+    def _cursor(self, item: tuple) -> _Cursor:
+        # An item whose only backpointer is unary shares its child's
+        # cursor.  A word or foot item has one backpointer and no ops, so
+        # all of them share one spent cursor.
+        bps = self.backpointers[item]
+        while len(bps) == 1 and bps[0][0] in _UNARY:
+            item = bps[0][1]
+            bps = self.backpointers[item]
+        cursor = self.cursors.get(item)
+        if cursor is None:
+            if len(bps) == 1 and bps[0][0] in _LEAF:
+                cursor = self.leaf
             else:
-                aux_root = grammar.tree(sub[0]).root.label
-                label = "S" if aux_root == grammar.start_symbol else "ATTR"
-            result.steps.append(DerivationStep(op, child, instance, site, label))
-        return instance
+                cursor = self.cursors[item] = _Cursor(item, bps)
+        return cursor
 
-    result.root = build(deriv)
-    return result
+    def _label(self, tid: str, site: Address | None) -> str:
+        """The arc label of substituting at ``site`` of tree ``tid`` (its
+        actant number), or of adjoining tree ``tid`` (site None)."""
+        label = self.labels.get((tid, site))
+        if label is None:
+            tree = self.trees[tid]
+            if site is not None:
+                label = str(tree.substitution_addresses().index(site) + 1)
+            else:
+                label = "S" if tree.root.label == self.start else "ATTR"
+            self.labels[tid, site] = label
+        return label
+
+    def _request(self, cursor: _Cursor, n: int) -> None:
+        """Extend ``cursor`` to ``n`` derivations, or to all it has."""
+        stack = [(cursor, n)]
+        while stack:
+            top = len(stack) - 1
+            cursor, n = stack[top]
+            needs = self._advance(cursor, n)
+            if not needs:
+                stack.pop()
+                if cursor.waiting == top:
+                    cursor.waiting = -1
+            elif cursor.waiting in (-1, top):
+                cursor.waiting = top
+                stack += needs
+            else:
+                # Every request above the waiting one serves it, so the
+                # item needs its own next derivation to make it.
+                _, tid, addr, *_, i, j, _, _ = cursor.item
+                raise RefuseUnbounded(
+                    f"the node at {format_address(addr)} of tree {tid!r} over "
+                    f"words {i}..{j} derives itself; the grammar is not lexicalized"
+                )
+
+    def _advance(self, cursor: _Cursor, n: int) -> tuple:
+        """Extend ``cursor.vals`` towards ``n`` from what its children
+        have found.  Returns the ``(child, count)`` requests that must be
+        met first, or ``()`` once ``n`` is reached or the item is spent."""
+        vals = cursor.vals
+        bps = cursor.bps
+        while len(vals) < n:
+            if cursor.b == len(bps):
+                cursor.done = True
+                return ()
+            bp = bps[cursor.b]
+            kind = bp[0]
+            left = cursor.left
+            if left is None:
+                left = cursor.left = self._cursor(bp[1])
+                if len(bp) == 3:
+                    cursor.right = self._cursor(bp[2])
+            right = cursor.right
+            room = n - len(vals)
+            if right is None:  # one child: pass through, or substitute
+                have = left.vals
+                r = cursor.r
+                if r < len(have):
+                    chunk = have[r : r + room]
+                    cursor.r = r + len(chunk)
+                    if kind == "subst":
+                        _, tid, site = cursor.item[:3]
+                        label = self._label(tid, site)
+                        child = bp[1][1]
+                        vals += [(("substitute", site, label, child, ops),) for ops in chunk]
+                    else:
+                        vals += chunk
+                elif left.done:
+                    cursor.next_backpointer()
+                else:
+                    return ((left, r + room),)
+                continue
+            lefts, rights = left.vals, right.vals
+            l, r = cursor.l, cursor.r
+            if r == len(rights) and right.done and rights:  # row l is complete
+                cursor.l = l = l + 1
+                cursor.r = r = 0
+            if right.done and not rights or left.done and l == len(lefts):
+                cursor.next_backpointer()
+                continue
+            if l < len(lefts) and r < len(rights):
+                chunk = rights[r : r + room]
+                cursor.r = r + len(chunk)
+                below = lefts[l]
+                if kind == "concat":
+                    vals += [below + ops for ops in chunk]
+                else:  # adjoin: the aux tree's derivations go on the right
+                    site = cursor.item[2]
+                    child = bp[2][1]
+                    label = self._label(child, None)
+                    vals += [below + (("adjoin", site, label, child, ops),) for ops in chunk]
+                continue
+            # Right child up to r + room, then the left child up to the
+            # row that covers the rest; both at once when both are short.
+            needs = []
+            if not right.done and len(rights) < r + room:
+                needs.append((right, r + room))
+            if l >= len(lefts) and not left.done:
+                rows = -(-room // len(rights)) if right.done else 1
+                needs.append((left, l + rows))
+            return needs
+        return ()
+
+
+def _derivation_tree(tree_id: str, ops: tuple) -> DerivationTree:
+    """Build one derivation with an explicit stack: instances are named in
+    preorder (``tree``, ``tree#2``, ...) and steps listed in post-order."""
+    counts = {tree_id: 1}
+    instances = {tree_id: tree_id}
+    steps: list[DerivationStep] = []
+    # Frames: (instance, its ops still to visit, the step that attaches it).
+    stack = [(tree_id, iter(ops), None)]
+    while stack:
+        parent, todo, attach = stack[-1]
+        for op, site, label, child, child_ops in todo:
+            count = counts[child] = counts.get(child, 0) + 1
+            name = child if count == 1 else f"{child}#{count}"
+            instances[name] = child
+            step = DerivationStep(op, name, parent, site, label)
+            if child_ops:
+                stack.append((name, iter(child_ops), step))
+                break
+            steps.append(step)
+        else:
+            stack.pop()
+            if attach is not None:
+                steps.append(attach)  # after the instance's own steps
+    return DerivationTree(tree_id, instances, steps)
 
 
 def _check_parseable(grammar: Grammar):
@@ -286,7 +442,13 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     follows that canonical order (tree ids, then addresses, then spans).
     Every item and backpointer is stored once, so the enumeration yields
     each derivation once: exactly ``min(cap, total)`` are returned, with
-    no dedupe.  The derivations are read off the chart and not replayed;
+    no dedupe.  Enumeration is demand-driven and stack-based: each item
+    keeps a shared prefix of its derivations and is extended only as far
+    as the ``cap`` needs, so the cost grows with the derivations returned
+    and no derivation is too deep for it.  A chart item that derives itself
+    (possible only in a grammar that is not lexicalized) raises
+    ``RefuseUnbounded`` when it needs its own next derivation.  The
+    derivations are read off the chart and not replayed;
     ``tests/test_parser.py`` checks that each one replays to ``words``.
     """
     _check_parseable(grammar)
@@ -298,8 +460,7 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
             bps.sort()  # final once fill ends, so sorted once, not per visit
         # Goals differ only in tree id; sorting fixes their order, which
         # otherwise follows the agenda.
-        raw = (d for goal in sorted(chart.goals) for d in chart.derivations(goal))
-        derivations = [_to_derivation_tree(grammar, d) for d in islice(raw, cap)]
+        derivations = _Derivations(chart).first(sorted(chart.goals), cap)
     stats = {
         "items": len(chart.backpointers),
         "trees": len(chart.trees),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     GrammarFormatError,
@@ -216,8 +216,7 @@ def _adjoin_members(
 ACTANT_RE = re.compile(r"^[1-9][0-9]*$")
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     op: str  # "substitute" | "adjoin" | "adjoin_set"
     child: str  # instance name (set id for adjoin_set)
     parent: str  # instance name

@@ -77,4 +77,5 @@ class AmbiguousRule(TagError):
 
 
 class RefuseUnbounded(TagError):
-    """Language enumeration refused for a non-lexicalized grammar."""
+    """Enumeration refused for a non-lexicalized grammar: language
+    enumeration, or derivations of a chart item that derives itself."""

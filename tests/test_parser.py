@@ -1,4 +1,5 @@
 """Chart recognizer/parser and the brute-force enumeration oracle."""
+import hashlib
 import json
 import random
 import warnings
@@ -10,10 +11,12 @@ import tagforge as tf
 from tagforge import corpus
 from tagforge.chart import UnparsedSets
 from tagforge.errors import RefuseUnbounded
+from tagforge.exports import derivation_from_json, derivation_to_json
 
 from conftest import load_script
 
 GOLDEN = Path(__file__).parent / "data" / "derivations.json"
+DIGESTS = Path(__file__).parent / "data" / "derivation_digests.json"
 GOLDEN_GRAMMARS = ("english.tag", "english_wh.tag", "dutch.tag")
 
 
@@ -203,6 +206,42 @@ def test_derivation_lists_match_golden():
         assert lists == golden[name], name
 
 
+def derivation_digest(derivations):
+    """sha256 of the ``derivation_to_json`` list: unlike ``canonical()``,
+    it pins the root, the instance names, the step order, the sites and
+    the labels, and the order of the list."""
+    text = json.dumps([derivation_to_json(d) for d in derivations])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def derivation_digests():
+    """Digests of PP k=0..8 at caps 1, 7 and 500, and of every
+    ``enumerate_language(g, 5)`` sentence of three corpus grammars at the
+    default cap."""
+    pp = tf.parse_grammar(PP_GRAMMAR)
+    digests = {"pp": {}}
+    for k in range(9):
+        words = "John saw Lyn".split() + ["with", "telescope"] * k
+        digests["pp"][f"k={k}"] = {
+            str(cap): derivation_digest(tf.parse(pp, words, cap=cap).derivations)
+            for cap in (1, 7, 500)
+        }
+    for name in GOLDEN_GRAMMARS:
+        grammar = tf.parse_grammar(corpus.read(name))
+        digests[name] = {
+            sentence: derivation_digest(tf.parse(grammar, sentence.split()).derivations)
+            for sentence in sorted(tf.enumerate_language(grammar, 5))
+        }
+    return digests
+
+
+def test_derivation_digests_match_golden():
+    """The digests were recorded with the earlier enumerator, made of
+    recursive generators and a recursive walk per derivation."""
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert derivation_digests() == golden
+
+
 def test_derivations_invariant_under_unrelated_trees(english):
     extra = []
     for i in range(10):
@@ -233,6 +272,16 @@ def test_chart_items_bounded_on_adverb_stacking(english):
 
 def test_recognize_long_adverb_stack(english):
     assert tf.recognize(english, _adverbs(600))
+
+
+def test_parse_long_adverb_stack(english):
+    """600 stacked adjunctions: enumeration and the build use explicit
+    stacks, so a derivation this deep raises no RecursionError."""
+    result = tf.parse(english, _adverbs(600), cap=1)
+    assert result.recognized
+    [derivation] = result.derivations
+    assert len(derivation.steps) == 602
+    assert list(derivation.instances.values()).count("beta1") == 600
 
 
 # PP attachment: each "with N" adjoins at a VP or at an NP to its left,
@@ -289,3 +338,51 @@ def test_parse_cap_returns_a_prefix_of_all_derivations():
             head = [d.canonical() for d in tf.parse(grammar, words, cap=cap).derivations]
             assert len(head) == min(cap, len(full))
             assert head == full[:cap]
+
+
+def test_derivation_step_is_an_immutable_value():
+    step = tf.DerivationStep("adjoin", "beta1", "alpha1", (2,), "ATTR")
+    assert (step.op, step.child, step.parent, step.site, step.arc_label) == (
+        "adjoin", "beta1", "alpha1", (2,), "ATTR"
+    )
+    with pytest.raises(AttributeError):
+        step.site = (1,)
+    same = tf.DerivationStep("adjoin", "beta1", "alpha1", (2,), "ATTR")
+    assert step == same and hash(step) == hash(same)
+    assert step != step._replace(arc_label="S")
+    assert len({step, same}) == 1
+    grammar = tf.parse_grammar(PP_GRAMMAR)
+    words = "John saw Lyn".split() + ["with", "telescope"] * 6
+    derivations = tf.parse(grammar, words, cap=500).derivations
+    assert len(derivations) == CATALAN[7]
+    for derivation in derivations:
+        back = derivation_from_json(derivation_to_json(derivation))
+        assert back.root == derivation.root
+        assert list(back.instances.items()) == list(derivation.instances.items())
+        assert back.steps == derivation.steps
+        assert all(type(step) is tf.DerivationStep for step in back.steps)
+
+
+# `c` substitutes an S into its own S leaf and has no word, so the chart
+# item for its leaf over "x" derives itself.
+CYCLIC_AFTER = 'start S\ntree b initial (S "x"@)\ntree c initial (S S!)\n'
+CYCLIC_FIRST = 'start S\ntree a initial (S S!)\ntree b initial (S "x"@)\n'
+
+
+def test_parse_self_deriving_item():
+    """When the item's other derivations come first, each new derivation
+    of the cycle is built from the one before it; when the cycle comes
+    first, the item cannot make its first derivation, and parse refuses."""
+    result = tf.parse(tf.parse_grammar(CYCLIC_AFTER), ["x"], cap=4)
+    chains = [
+        [(s.parent, s.child) for s in d.steps] for d in result.derivations
+    ]
+    assert [d.root for d in result.derivations] == ["b", "c", "c", "c"]
+    assert chains == [
+        [],
+        [("c", "b")],
+        [("c#2", "b"), ("c", "c#2")],
+        [("c#3", "b"), ("c#2", "c#3"), ("c", "c#2")],
+    ]
+    with pytest.raises(RefuseUnbounded, match="derives itself"):
+        tf.parse(tf.parse_grammar(CYCLIC_FIRST), ["x"], cap=1)
