@@ -247,6 +247,12 @@ class _Derivations:
     recurses.  An op is ``(op, site, arc label, child tree id, child
     ops)``; each label is resolved once per (tree, site) and cached, so
     building a derivation needs no grammar lookups.
+
+    Bulk requests may ask a cycle of items (only in a grammar that is not
+    lexicalized) for more than it can make yet.  On meeting a cycle the
+    enumerator starts the request over in exact mode, where each request
+    asks one child for its next derivation only; a cycle met in exact
+    mode needs its own next derivation, and is refused.
     """
 
     def __init__(self, chart: _Chart):
@@ -258,6 +264,9 @@ class _Derivations:
         self.leaf.vals.append(())
         self.leaf.done = True
         self.labels: dict[tuple, str] = {}
+        # Ask children only for their next derivation, one child at a
+        # time (set once a cycle is met; see ``_request``).
+        self.exact = False
 
     def first(self, goals: list[tuple], cap: int) -> list[DerivationTree]:
         """The first ``cap`` derivations of the goals, in the given order."""
@@ -314,9 +323,19 @@ class _Derivations:
             elif cursor.waiting in (-1, top):
                 cursor.waiting = top
                 stack += needs
+            elif not self.exact:
+                # A cycle, possible only in a grammar that is not
+                # lexicalized.  Requests ask for more than the next
+                # derivation, so the item may not need the one it waits
+                # for: start over, asking only for next derivations.
+                for queued, _ in stack:
+                    queued.waiting = -1
+                del stack[1:]
+                self.exact = True
             else:
-                # Every request above the waiting one serves it, so the
-                # item needs its own next derivation to make it.
+                # Every request above the waiting one asks for the next
+                # derivation it needs, so the item needs its own next
+                # derivation to make it.
                 _, tid, addr, *_, i, j, _, _ = cursor.item
                 raise RefuseUnbounded(
                     f"the node at {format_address(addr)} of tree {tid!r} over "
@@ -358,7 +377,7 @@ class _Derivations:
                 elif left.done:
                     cursor.next_backpointer()
                 else:
-                    return ((left, r + room),)
+                    return ((left, r + 1 if self.exact else r + room),)
                 continue
             lefts, rights = left.vals, right.vals
             l, r = cursor.l, cursor.r
@@ -380,6 +399,8 @@ class _Derivations:
                     label = self._label(child, None)
                     vals += [below + (("adjoin", site, label, child, ops),) for ops in chunk]
                 continue
+            if self.exact:  # row l's left derivation first, as in left-major order
+                return ((left, l + 1),) if l >= len(lefts) else ((right, r + 1),)
             # Right child up to r + room, then the left child up to the
             # row that covers the rest; both at once when both are short.
             needs = []
@@ -445,11 +466,13 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     no dedupe.  Enumeration is demand-driven and stack-based: each item
     keeps a shared prefix of its derivations and is extended only as far
     as the ``cap`` needs, so the cost grows with the derivations returned
-    and no derivation is too deep for it.  A chart item that derives itself
-    (possible only in a grammar that is not lexicalized) raises
-    ``RefuseUnbounded`` when it needs its own next derivation.  The
-    derivations are read off the chart and not replayed;
-    ``tests/test_parser.py`` checks that each one replays to ``words``.
+    and no derivation is too deep for it.  A chart item may derive itself,
+    directly or through other items, only in a grammar that is not
+    lexicalized; its derivations are then built from its earlier ones,
+    and ``RefuseUnbounded`` is raised only when it needs its own next
+    derivation to make it.  The derivations are read off the chart and
+    not replayed; ``tests/test_parser.py`` checks that each one replays
+    to ``words``.
     """
     _check_parseable(grammar)
     started = time.perf_counter()

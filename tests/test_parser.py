@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tagforge as tf
-from tagforge import corpus
+from tagforge import cli, corpus
 from tagforge.chart import UnparsedSets
 from tagforge.errors import RefuseUnbounded
 from tagforge.exports import derivation_from_json, derivation_to_json
@@ -274,14 +274,20 @@ def test_recognize_long_adverb_stack(english):
     assert tf.recognize(english, _adverbs(600))
 
 
-def test_parse_long_adverb_stack(english):
+def test_parse_long_adverb_stack(english, capsys):
     """600 stacked adjunctions: enumeration and the build use explicit
-    stacks, so a derivation this deep raises no RecursionError."""
+    stacks, so a derivation this deep raises no RecursionError, in the
+    library or through the CLI's JSON output."""
     result = tf.parse(english, _adverbs(600), cap=1)
     assert result.recognized
     [derivation] = result.derivations
     assert len(derivation.steps) == 602
     assert list(derivation.instances.values()).count("beta1") == 600
+    sentence = " ".join(_adverbs(600))
+    argv = ["parse", "-g", "corpus:english.tag", sentence, "--cap", "1", "--format", "json"]
+    assert cli.main(argv) == 0
+    [shown] = json.loads(capsys.readouterr().out)["derivations"]
+    assert len(shown["steps"]) == 602
 
 
 # PP attachment: each "with N" adjoins at a VP or at an NP to its left,
@@ -364,15 +370,36 @@ def test_derivation_step_is_an_immutable_value():
 
 
 # `c` substitutes an S into its own S leaf and has no word, so the chart
-# item for its leaf over "x" derives itself.
+# item for its leaf over "x" derives itself.  In the two-tree grammars the
+# cycle runs through two items: `c` takes a T, and `d` makes a T of an S.
 CYCLIC_AFTER = 'start S\ntree b initial (S "x"@)\ntree c initial (S S!)\n'
 CYCLIC_FIRST = 'start S\ntree a initial (S S!)\ntree b initial (S "x"@)\n'
+CYCLIC_PAIR_AFTER = (
+    'start S\ntree b initial (S "x"@)\ntree c initial (S T!)\ntree d initial (T S!)\n'
+)
+CYCLIC_PAIR_FIRST = (
+    'start S\ntree a initial (S T!)\ntree d initial (T S!)\ntree z initial (S "x"@)\n'
+)
+
+
+def _pair_chain(k):
+    """(parent, child) steps of c(d(...c(d(b)))) with k c-d pairs."""
+    def name(tree, m):
+        return tree if m == 1 else f"{tree}#{m}"
+
+    chain = [(name("d", k), "b")]
+    for m in range(k, 0, -1):
+        chain.append((name("c", m), name("d", m)))
+        if m > 1:
+            chain.append((name("d", m - 1), name("c", m)))
+    return chain
 
 
 def test_parse_self_deriving_item():
     """When the item's other derivations come first, each new derivation
-    of the cycle is built from the one before it; when the cycle comes
-    first, the item cannot make its first derivation, and parse refuses."""
+    of the cycle is built from the one before it, also when the cycle runs
+    through two items; when the cycle comes first, the item cannot make
+    its first derivation, and parse refuses."""
     result = tf.parse(tf.parse_grammar(CYCLIC_AFTER), ["x"], cap=4)
     chains = [
         [(s.parent, s.child) for s in d.steps] for d in result.derivations
@@ -384,5 +411,15 @@ def test_parse_self_deriving_item():
         [("c#2", "b"), ("c", "c#2")],
         [("c#3", "b"), ("c#2", "c#3"), ("c", "c#2")],
     ]
-    with pytest.raises(RefuseUnbounded, match="derives itself"):
-        tf.parse(tf.parse_grammar(CYCLIC_FIRST), ["x"], cap=1)
+    pair = tf.parse_grammar(CYCLIC_PAIR_AFTER)
+    assert _pair_chain(2) == [("d#2", "b"), ("c#2", "d#2"), ("d", "c#2"), ("c", "d")]
+    for cap in (4, 100):
+        derivations = tf.parse(pair, ["x"], cap=cap).derivations
+        assert [d.root for d in derivations] == ["b"] + ["c"] * (cap - 1)
+        assert [[(s.parent, s.child) for s in d.steps] for d in derivations] == [
+            _pair_chain(k) if k else [] for k in range(cap)
+        ]
+    assert len(tf.parse(pair, ["x"]).derivations) == 100
+    for grammar in (CYCLIC_FIRST, CYCLIC_PAIR_FIRST):
+        with pytest.raises(RefuseUnbounded, match="derives itself"):
+            tf.parse(tf.parse_grammar(grammar), ["x"], cap=1)
