@@ -20,9 +20,16 @@ scheme of Shieber, Schabes & Pereira 1995).  A backpointer list is final
 once fill ends, so ``parse`` sorts each list once, after fill, into the
 canonical order; ``recognize`` never sorts.  Each item and backpointer is
 stored once, so ``parse`` reads each derivation off once and returns
-exactly the first ``cap``, with no dedupe and no replay: each backpointer
-is a proof step.  That every derivation replays to its sentence is a
-property checked in ``tests/test_parser.py``.
+the first ``cap``, with no dedupe and no replay: each backpointer is a
+proof step.  That every derivation replays to its sentence is a property
+checked in ``tests/test_parser.py``.
+
+``parse`` refuses a grammar that has a tree with no word.  A tree with an
+anchor or terminal strictly widens the span it is substituted or adjoined
+into, and the unary steps inside one tree only move up its addresses, so
+without wordless trees no item derives itself: the chart is acyclic and
+every item has finitely many derivations.  ``recognize`` accepts such
+grammars, since fill terminates on them anyway.
 
 Enumeration is lazy, in the manner of Huang & Chiang 2005 ("Better
 k-best parsing", Algorithm 3; with uniform weights its order is the
@@ -55,7 +62,6 @@ from .trees import (
     TERMINAL,
     WORD_KINDS,
     Address,
-    format_address,
 )
 
 
@@ -89,14 +95,10 @@ class _Chart:
         self.subst_leaves: dict[str, list[tuple[str, Address]]] = {}
         self.feet: dict[str, list[tuple[str, Address]]] = {}
         for tid, tree in grammar.trees.items():
-            nodes = tree.nodes
-            if any(
-                node.kind in WORD_KINDS and node.label not in self.positions
-                for node in nodes.values()
-            ):
+            if any(word not in self.positions for word in tree.words):
                 continue
             self.trees[tid] = tree
-            for addr, node in nodes.items():
+            for addr, node in tree.nodes.items():
                 if node.kind == SUBSTITUTION:
                     self.subst_leaves.setdefault(node.label, []).append((tid, addr))
                 elif node.kind == FOOT:
@@ -218,7 +220,7 @@ class _Cursor:
     its enumeration stands: backpointer ``b``, and inside a two-child
     backpointer, left index ``l`` and right index ``r`` (left-major)."""
 
-    __slots__ = ("item", "bps", "vals", "done", "b", "l", "r", "left", "right", "waiting")
+    __slots__ = ("item", "bps", "vals", "done", "b", "l", "r", "left", "right")
 
     def __init__(self, item: tuple, bps: list[tuple]):
         self.item = item
@@ -228,7 +230,6 @@ class _Cursor:
         self.b = self.l = self.r = 0
         self.left: _Cursor | None = None
         self.right: _Cursor | None = None
-        self.waiting = -1  # stack index of the request waiting on children
 
     def next_backpointer(self) -> None:
         self.b += 1
@@ -248,11 +249,9 @@ class _Derivations:
     ops)``; each label is resolved once per (tree, site) and cached, so
     building a derivation needs no grammar lookups.
 
-    Bulk requests may ask a cycle of items (only in a grammar that is not
-    lexicalized) for more than it can make yet.  On meeting a cycle the
-    enumerator starts the request over in exact mode, where each request
-    asks one child for its next derivation only; a cycle met in exact
-    mode needs its own next derivation, and is refused.
+    The chart must be acyclic (``parse`` checks that the grammar has no
+    tree without a word), so no item waits, directly or through others,
+    on its own derivations.
     """
 
     def __init__(self, chart: _Chart):
@@ -264,9 +263,6 @@ class _Derivations:
         self.leaf.vals.append(())
         self.leaf.done = True
         self.labels: dict[tuple, str] = {}
-        # Ask children only for their next derivation, one child at a
-        # time (set once a cycle is met; see ``_request``).
-        self.exact = False
 
     def first(self, goals: list[tuple], cap: int) -> list[DerivationTree]:
         """The first ``cap`` derivations of the goals, in the given order."""
@@ -313,34 +309,11 @@ class _Derivations:
         """Extend ``cursor`` to ``n`` derivations, or to all it has."""
         stack = [(cursor, n)]
         while stack:
-            top = len(stack) - 1
-            cursor, n = stack[top]
-            needs = self._advance(cursor, n)
-            if not needs:
-                stack.pop()
-                if cursor.waiting == top:
-                    cursor.waiting = -1
-            elif cursor.waiting in (-1, top):
-                cursor.waiting = top
+            needs = self._advance(*stack[-1])
+            if needs:
                 stack += needs
-            elif not self.exact:
-                # A cycle, possible only in a grammar that is not
-                # lexicalized.  Requests ask for more than the next
-                # derivation, so the item may not need the one it waits
-                # for: start over, asking only for next derivations.
-                for queued, _ in stack:
-                    queued.waiting = -1
-                del stack[1:]
-                self.exact = True
             else:
-                # Every request above the waiting one asks for the next
-                # derivation it needs, so the item needs its own next
-                # derivation to make it.
-                _, tid, addr, *_, i, j, _, _ = cursor.item
-                raise RefuseUnbounded(
-                    f"the node at {format_address(addr)} of tree {tid!r} over "
-                    f"words {i}..{j} derives itself; the grammar is not lexicalized"
-                )
+                stack.pop()
 
     def _advance(self, cursor: _Cursor, n: int) -> tuple:
         """Extend ``cursor.vals`` towards ``n`` from what its children
@@ -377,7 +350,7 @@ class _Derivations:
                 elif left.done:
                     cursor.next_backpointer()
                 else:
-                    return ((left, r + 1 if self.exact else r + room),)
+                    return ((left, r + room),)
                 continue
             lefts, rights = left.vals, right.vals
             l, r = cursor.l, cursor.r
@@ -399,8 +372,6 @@ class _Derivations:
                     label = self._label(child, None)
                     vals += [below + (("adjoin", site, label, child, ops),) for ops in chunk]
                 continue
-            if self.exact:  # row l's left derivation first, as in left-major order
-                return ((left, l + 1),) if l >= len(lefts) else ((right, r + 1),)
             # Right child up to r + room, then the left child up to the
             # row that covers the rest; both at once when both are short.
             needs = []
@@ -450,7 +421,7 @@ def _check_parseable(grammar: Grammar):
 
 
 def recognize(grammar: Grammar, words: list[str]) -> bool:
-    """True iff some derivation over the grammar yields exactly ``words``."""
+    """True iff some derivation over the grammar yields ``words``."""
     _check_parseable(grammar)
     chart = _Chart(grammar, list(words)).run()
     return bool(chart.goals)
@@ -462,19 +433,23 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     After fill, each backpointer list is sorted once, and enumeration
     follows that canonical order (tree ids, then addresses, then spans).
     Every item and backpointer is stored once, so the enumeration yields
-    each derivation once: exactly ``min(cap, total)`` are returned, with
-    no dedupe.  Enumeration is demand-driven and stack-based: each item
+    each derivation once: ``min(cap, total)`` are returned, with no
+    dedupe.  Enumeration is demand-driven and stack-based: each item
     keeps a shared prefix of its derivations and is extended only as far
     as the ``cap`` needs, so the cost grows with the derivations returned
-    and no derivation is too deep for it.  A chart item may derive itself,
-    directly or through other items, only in a grammar that is not
-    lexicalized; its derivations are then built from its earlier ones,
-    and ``RefuseUnbounded`` is raised only when it needs its own next
-    derivation to make it.  The derivations are read off the chart and
-    not replayed; ``tests/test_parser.py`` checks that each one replays
-    to ``words``.
+    and no derivation is too deep for it.  A grammar with a tree that has
+    no word could make a chart item derive itself, so it is refused with
+    ``RefuseUnbounded`` before fill, at any ``cap``.  The derivations are
+    read off the chart and not replayed; ``tests/test_parser.py`` checks
+    that each one replays to ``words``.
     """
     _check_parseable(grammar)
+    wordless = [tid for tid, tree in grammar.trees.items() if not tree.words]
+    if wordless:
+        raise RefuseUnbounded(
+            "cannot bound the derivations of a chart item that may derive "
+            f"itself; trees with no word: {', '.join(wordless)}"
+        )
     started = time.perf_counter()
     chart = _Chart(grammar, list(words)).run()
     derivations = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .derive import ACTANT_RE, DerivationTree
+from .derive import ACTANT_RE, DerivationTree, find_cycle
 from .errors import GrammarFormatError, IncompleteOrder, InversionError
 from .grammar import Grammar
 
@@ -81,18 +81,9 @@ class DependencyTree:
         for node_id in self.nodes:
             if node_id != self.root and node_id not in heads:
                 raise GrammarFormatError(f"node {node_id!r} is disconnected")
-        # Walk up from each node until a node known to reach the root, so
-        # every node is walked once; a walk that meets itself is a cycle.
-        reaches_root = {self.root}
-        for node_id in self.nodes:
-            path: set[str] = set()
-            cursor = node_id
-            while cursor not in reaches_root:
-                if cursor in path:
-                    raise GrammarFormatError(f"cycle through node {cursor!r}")
-                path.add(cursor)
-                cursor = heads[cursor]
-            reaches_root |= path
+        node = find_cycle(heads, self.root, self.nodes)
+        if node is not None:
+            raise GrammarFormatError(f"cycle through node {node!r}")
         index = self.dependent_index()
         for node_id in self.nodes:
             indices = [l for _, l in index.get(node_id, ()) if ACTANT_RE.match(l)]

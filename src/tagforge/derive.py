@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     GrammarFormatError,
@@ -224,6 +224,27 @@ class DerivationStep(NamedTuple):
     arc_label: str  # "1", "2", ..., "ATTR" or "S"
 
 
+def find_cycle(up: dict[str, str], root: str, starts: Iterable[str]) -> str | None:
+    """The first node met twice on a walk up ``up`` (node -> parent),
+    or None when every walk reaches ``root``.
+
+    Walks start from each of ``starts`` in turn and stop at a node already
+    known to reach the root, so each node is walked once.  Every node but
+    the root must have a parent in ``up``.
+    """
+    reaches_root = {root}
+    for start in starts:
+        path = set()
+        node = start
+        while node not in reaches_root:
+            if node in path:
+                return node
+            path.add(node)
+            node = up[node]
+        reaches_root |= path
+    return None
+
+
 @dataclass
 class DerivationTree:
     """One node per elementary tree (or set) occurrence, plus step edges."""
@@ -252,15 +273,10 @@ class DerivationTree:
         for step in self.steps:
             if step.parent != self.root and step.parent not in parents:
                 raise GrammarFormatError(f"step parent {step.parent!r} is unreachable")
-        # Reject cycles: every child must reach the root.
-        for child in parents:
-            seen = set()
-            node = child
-            while node != self.root:
-                if node in seen:
-                    raise GrammarFormatError(f"cycle through instance {node!r}")
-                seen.add(node)
-                node = parents[node]  # every parent is the root or a child
+        # Every parent is now the root or a child, so each walk up ends.
+        node = find_cycle(parents, self.root, parents)
+        if node is not None:
+            raise GrammarFormatError(f"cycle through instance {node!r}")
 
     def canonical(self):
         """Order-independent structural form, for equality checks."""
@@ -331,6 +347,7 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
     return derived, " ".join(n.label for _, n in leaves if n.kind in WORD_KINDS)
 
 
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
 _STEP_RE = re.compile(
     r"^(?P<op>subst|adjoin|adjoinset)\s+(?P<child>\S+?)(?:\s+as\s+(?P<alias>\S+))?"
     r"\s*->\s*(?P<parent>\S+)\s*@\s*(?P<sites>[\d.,\s]+?)\s+label\s+(?P<label>\S+)$"
@@ -346,13 +363,17 @@ def parse_script(text: str, grammar: Grammar | None = None) -> DerivationTree:
         subst alpha2 -> alpha1 @ 1 label 1
         adjoin beta1 -> alpha1 @ 2 label ATTR
         adjoinset sigma1 -> alpha1 @ 1, 2.2 label S
+
+    A '#' starts a comment only at the start of a line or after
+    whitespace, so instance names such as ``beta1#2`` (as ``parse`` and
+    ``serialize_script`` write them) are read as names.
     """
     root = None
     instances: dict[str, str] = {}
     steps: list[DerivationStep] = []
     statements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+        line = _COMMENT_RE.split(raw, maxsplit=1)[0]
         for part in line.split(";"):
             part = part.strip()
             if part:

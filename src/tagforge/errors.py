@@ -77,5 +77,6 @@ class AmbiguousRule(TagError):
 
 
 class RefuseUnbounded(TagError):
-    """Enumeration refused for a non-lexicalized grammar: language
-    enumeration, or derivations of a chart item that derives itself."""
+    """Enumeration refused where it may not be finite: language
+    enumeration for a non-lexicalized grammar, or ``parse`` for a grammar
+    that has a tree with no word."""

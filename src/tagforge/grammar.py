@@ -12,6 +12,7 @@ from .trees import (
     INTERIOR,
     SUBSTITUTION,
     TERMINAL,
+    WORD_KINDS,
     Address,
     TreeNode,
     format_address,
@@ -70,6 +71,11 @@ class ElementaryTree:
         """Every node by address, from one walk per tree.  Preorder is also
         the sorted order of Gorn addresses."""
         return dict(walk(self.root))
+
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        """The anchor and terminal words, in preorder."""
+        return tuple(n.label for n in self.nodes.values() if n.kind in WORD_KINDS)
 
     @cached_property
     def _addresses(self) -> dict[str, tuple[Address, ...]]:

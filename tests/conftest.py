@@ -47,6 +47,22 @@ def german_mc():
     return tf.parse_grammar(corpus.read("german_mc.tag"))
 
 
+@pytest.fixture(scope="session")
+def cfg_english():
+    """Criterion 8's CFG, one tree per rule: ``r1: S -> NP VP`` and
+    ``r3: VP -> V NP`` have no word."""
+    rules = [
+        tf.CfgRule("S", ("NP", "VP")),
+        tf.CfgRule("VP", (tf.Word("really"), "VP")),
+        tf.CfgRule("VP", ("V", "NP")),
+        tf.CfgRule("V", (tf.Word("likes"),)),
+        tf.CfgRule("NP", (tf.Word("John"),)),
+        tf.CfgRule("NP", (tf.Word("Lyn"),)),
+    ]
+    trees = tf.cfg_to_trees(rules)
+    return tf.Grammar(trees={t.id: t for t in trees}, start_symbol="S")
+
+
 def load_script(name, grammar):
     return tf.parse_script(corpus.read(name), grammar)
 

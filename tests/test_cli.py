@@ -68,6 +68,18 @@ def test_parse_text(capsys):
     assert stats["words"] == 3
 
 
+def test_parse_wordless_tree_exit_1(tmp_path, capsys):
+    grammar = tmp_path / "wordless.tag"
+    grammar.write_text('start S\ntree b initial (S "x"@)\ntree c initial (S S!)\n', encoding="utf-8")
+    code, out, err = run(capsys, "parse", "-g", str(grammar), "x")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: RefuseUnbounded: cannot bound the derivations of a chart item "
+        "that may derive itself; trees with no word: c"
+    ]
+
+
 def test_enumerate(capsys):
     code, out, _ = run(
         capsys, "enumerate", "-g", "corpus:english.tag", "--max-trees", "3"

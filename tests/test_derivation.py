@@ -325,6 +325,72 @@ def test_script_round_trip(english, dutch, german_mc):
         assert again == script
 
 
+def test_parse_output_round_trips_through_scripts():
+    """Every parse of every ``enumerate_language(g, 5)`` sentence reads
+    back from its script with the same instances and the same steps, in
+    order, and replays to its sentence; the instance names ``parse``
+    gives a reused tree (``beta1#2``) are not taken for comments."""
+    reused = 0
+    for name in ("english.tag", "english_wh.tag", "dutch.tag"):
+        grammar = tf.parse_grammar(corpus.read(name))
+        for sentence in sorted(tf.enumerate_language(grammar, 5)):
+            for derivation in tf.parse(grammar, sentence.split()).derivations:
+                again = tf.parse_script(serialize_script(derivation), grammar)
+                assert again.root == derivation.root
+                assert again.instances == derivation.instances
+                assert again.steps == derivation.steps
+                assert tf.run_derivation(grammar, again)[1] == sentence
+                reused += any("#" in instance for instance in again.instances)
+    assert reused > 0
+
+
+def test_script_comments_start_at_line_start_or_after_whitespace(english):
+    text = (
+        "# Figure 7\n"
+        "use alpha1  # the verb\n"
+        "subst alpha2 -> alpha1 @ 1 label 1\t# John\n"
+        "subst alpha3 -> alpha1 @ 2.2 label 2\n"
+        "adjoin beta1 -> alpha1 @ 2 label ATTR\n"
+        "adjoin beta1 as beta1#2 -> beta1 @ 0 label ATTR #really\n"
+    )
+    script = tf.parse_script(text, english)
+    assert script.instances["beta1#2"] == "beta1"
+    assert tf.run_derivation(english, script)[1] == "John really really likes Lyn"
+
+
+def _chain(root, pairs):
+    instances = {root: "t"}
+    for parent, child in pairs:
+        instances.setdefault(parent, "t")
+        instances[child] = "t"
+    steps = [derive.DerivationStep("adjoin", c, p, (), "ATTR") for p, c in pairs]
+    return derive.DerivationTree(root, instances, steps)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("a", "b"), ("a", "c"), ("c", "b")], "instance 'b' has two parents"),
+        ([("a", "b"), ("b", "a")], "root instance may not be a child"),
+        ([("a", "b"), ("x", "c")], "step parent 'x' is unreachable"),
+        (
+            [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c"), ("b", "f")],
+            "cycle through instance 'd'",
+        ),
+    ],
+)
+def test_derivation_validate_messages(pairs, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        _chain("a", pairs).validate()
+    assert str(excinfo.value) == message
+
+
+def test_derivation_validate_long_chain():
+    """Each walk up stops at an instance known to reach the root, so a
+    10^4-instance chain validates in one pass."""
+    _chain("b0", [(f"b{i}", f"b{i + 1}") for i in range(10_000)]).validate()
+
+
 def test_parse_script_rejects_unknown_tree(english):
     with pytest.raises(GrammarFormatError):
         tf.parse_script("use nosuch", english)

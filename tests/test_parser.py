@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tagforge as tf
-from tagforge import cli, corpus
+from tagforge import chart, cli, corpus
 from tagforge.chart import UnparsedSets
 from tagforge.errors import RefuseUnbounded
 from tagforge.exports import derivation_from_json, derivation_to_json
@@ -370,8 +370,9 @@ def test_derivation_step_is_an_immutable_value():
 
 
 # `c` substitutes an S into its own S leaf and has no word, so the chart
-# item for its leaf over "x" derives itself.  In the two-tree grammars the
-# cycle runs through two items: `c` takes a T, and `d` makes a T of an S.
+# item for its leaf over "x" would derive itself.  In the two-tree
+# grammars the cycle runs through two items: `c` takes a T, and `d` makes
+# a T of an S.
 CYCLIC_AFTER = 'start S\ntree b initial (S "x"@)\ntree c initial (S S!)\n'
 CYCLIC_FIRST = 'start S\ntree a initial (S S!)\ntree b initial (S "x"@)\n'
 CYCLIC_PAIR_AFTER = (
@@ -382,44 +383,61 @@ CYCLIC_PAIR_FIRST = (
 )
 
 
-def _pair_chain(k):
-    """(parent, child) steps of c(d(...c(d(b)))) with k c-d pairs."""
-    def name(tree, m):
-        return tree if m == 1 else f"{tree}#{m}"
-
-    chain = [(name("d", k), "b")]
-    for m in range(k, 0, -1):
-        chain.append((name("c", m), name("d", m)))
-        if m > 1:
-            chain.append((name("d", m - 1), name("c", m)))
-    return chain
-
-
-def test_parse_self_deriving_item():
-    """When the item's other derivations come first, each new derivation
-    of the cycle is built from the one before it, also when the cycle runs
-    through two items; when the cycle comes first, the item cannot make
-    its first derivation, and parse refuses."""
-    result = tf.parse(tf.parse_grammar(CYCLIC_AFTER), ["x"], cap=4)
-    chains = [
-        [(s.parent, s.child) for s in d.steps] for d in result.derivations
+def test_parse_refuses_wordless_trees(cfg_english, monkeypatch):
+    """Only a tree with no word can make a chart item derive itself, so
+    ``parse`` refuses a grammar that has one, before fill and at every
+    cap, and names those trees.  ``recognize`` still accepts the grammar;
+    its verdicts were recorded before ``parse`` refused."""
+    cases = [
+        (tf.parse_grammar(CYCLIC_AFTER), ["c"], {"x": True, "x x": False}),
+        (tf.parse_grammar(CYCLIC_FIRST), ["a"], {"x": True, "x x": False}),
+        (tf.parse_grammar(CYCLIC_PAIR_AFTER), ["c", "d"], {"x": True, "x x": False}),
+        (tf.parse_grammar(CYCLIC_PAIR_FIRST), ["a", "d"], {"x": True, "x x": False}),
+        (
+            cfg_english,
+            ["r1", "r3"],
+            {"John really likes Lyn": True, "likes John Lyn": False},
+        ),
     ]
-    assert [d.root for d in result.derivations] == ["b", "c", "c", "c"]
-    assert chains == [
-        [],
-        [("c", "b")],
-        [("c#2", "b"), ("c", "c#2")],
-        [("c#3", "b"), ("c#2", "c#3"), ("c", "c#2")],
-    ]
-    pair = tf.parse_grammar(CYCLIC_PAIR_AFTER)
-    assert _pair_chain(2) == [("d#2", "b"), ("c#2", "d#2"), ("d", "c#2"), ("c", "d")]
-    for cap in (4, 100):
-        derivations = tf.parse(pair, ["x"], cap=cap).derivations
-        assert [d.root for d in derivations] == ["b"] + ["c"] * (cap - 1)
-        assert [[(s.parent, s.child) for s in d.steps] for d in derivations] == [
-            _pair_chain(k) if k else [] for k in range(cap)
-        ]
-    assert len(tf.parse(pair, ["x"]).derivations) == 100
-    for grammar in (CYCLIC_FIRST, CYCLIC_PAIR_FIRST):
-        with pytest.raises(RefuseUnbounded, match="derives itself"):
-            tf.parse(tf.parse_grammar(grammar), ["x"], cap=1)
+
+    def no_fill(self):
+        raise AssertionError("parse filled the chart")
+
+    for grammar, wordless, verdicts in cases:
+        for sentence, verdict in verdicts.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(chart._Chart, "run", no_fill)
+                for cap in (0, 1, 4, 100):
+                    with pytest.raises(RefuseUnbounded) as excinfo:
+                        tf.parse(grammar, sentence.split(), cap=cap)
+                    assert str(excinfo.value).rsplit(": ", 1)[1].split(", ") == wordless
+            assert tf.recognize(grammar, sentence.split()) is verdict
+
+
+def test_recognize_cfg_and_its_lexicalized_tag_agree(english, cfg_english):
+    """The paper's comparison: criterion 8's CFG, whose trees ``parse``
+    refuses, and ``english.tag`` recognize the same strings, both on the
+    TAG's sentences of up to 6 trees and on seeded corruptions of them
+    (a word dropped, inserted or swapped)."""
+    sentences = sorted(tf.enumerate_language(english, 6))
+    assert len(sentences) == 16
+    for sentence in sentences:
+        assert tf.recognize(cfg_english, sentence.split())
+    vocab = sorted({w for s in sentences for w in s.split()})
+    rng = random.Random(11)
+    verdicts = []
+    for sentence in sentences:
+        for _ in range(12):
+            words = sentence.split()
+            edit = rng.choice(("drop", "insert", "swap"))
+            if edit == "drop":
+                del words[rng.randrange(len(words))]
+            elif edit == "insert":
+                words.insert(rng.randrange(len(words) + 1), rng.choice(vocab))
+            else:
+                i, j = rng.sample(range(len(words)), 2)
+                words[i], words[j] = words[j], words[i]
+            verdict = tf.recognize(english, words)
+            assert tf.recognize(cfg_english, words) == verdict, words
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
