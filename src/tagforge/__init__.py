@@ -6,77 +6,60 @@ chart recognizer, checks projectivity, and linearizes dependency trees
 through two-segment syntagm rules.
 """
 
-from .chart import ParseResult, enumerate_language, parse, recognize
-from .dependency import (
-    DependencyTree,
-    DepNode,
-    derivation_to_dependency,
-    is_projective,
-    parse_dependency,
-    serialize_dependency,
-)
-from .derive import (
-    DerivationStep,
-    DerivationTree,
-    PhraseTree,
-    adjoin,
-    adjoin_set,
-    parse_script,
-    run_derivation,
-    substitute,
-)
-from .grammar import (
-    CfgRule,
-    ElementaryTree,
-    Grammar,
-    TreeSet,
-    Word,
-    cfg_to_trees,
-    check_lexicalized,
-    compose_rules,
-    merge_rules,
-    validate_tree,
-)
-from .grammar_io import parse_grammar, parse_tree_expr, serialize_grammar
-from .linearize import SegmentPair, linearize, linearize_node, parse_rules, segment_pairs
+import importlib
+
+# Each public name -> the submodule that defines it.  A name's module is
+# imported on first access (PEP 562), so ``import tagforge`` and each
+# CLI verb load only the layers they use.
+_MODULES = {
+    "chart": ("ParseResult", "enumerate_language", "parse", "recognize"),
+    "dependency": (
+        "DependencyTree",
+        "DepNode",
+        "derivation_to_dependency",
+        "is_projective",
+        "parse_dependency",
+        "serialize_dependency",
+    ),
+    "derive": (
+        "DerivationStep",
+        "DerivationTree",
+        "PhraseTree",
+        "adjoin",
+        "adjoin_set",
+        "parse_script",
+        "run_derivation",
+        "substitute",
+    ),
+    "grammar": (
+        "CfgRule",
+        "ElementaryTree",
+        "Grammar",
+        "TreeSet",
+        "Word",
+        "cfg_to_trees",
+        "check_lexicalized",
+        "compose_rules",
+        "merge_rules",
+        "validate_tree",
+    ),
+    "grammar_io": ("parse_grammar", "parse_tree_expr", "serialize_grammar"),
+    "syntagm": ("SegmentPair", "linearize", "linearize_node", "parse_rules", "segment_pairs"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CfgRule",
-    "DependencyTree",
-    "DepNode",
-    "DerivationStep",
-    "DerivationTree",
-    "ElementaryTree",
-    "Grammar",
-    "ParseResult",
-    "PhraseTree",
-    "SegmentPair",
-    "TreeSet",
-    "Word",
-    "adjoin",
-    "adjoin_set",
-    "cfg_to_trees",
-    "check_lexicalized",
-    "compose_rules",
-    "derivation_to_dependency",
-    "enumerate_language",
-    "is_projective",
-    "linearize",
-    "linearize_node",
-    "merge_rules",
-    "parse",
-    "parse_dependency",
-    "parse_grammar",
-    "parse_rules",
-    "parse_script",
-    "parse_tree_expr",
-    "recognize",
-    "run_derivation",
-    "segment_pairs",
-    "serialize_dependency",
-    "serialize_grammar",
-    "substitute",
-    "validate_tree",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

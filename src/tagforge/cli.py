@@ -2,7 +2,9 @@
 
 Verbs: validate, derive, parse, enumerate, dep, projective, linearize,
 export.  Machine-readable output goes to stdout, diagnostics to stderr;
-exit codes: 0 success, 1 domain error, 2 usage or I/O error.
+exit codes: 0 success, 1 domain error, 2 usage or I/O error.  Each verb
+imports the tagforge modules it uses when it runs, so a process loads
+only its own verb's layers.
 """
 from __future__ import annotations
 
@@ -10,17 +12,12 @@ import argparse
 import json
 import sys
 
-from . import chart, corpus, exports
-from .dependency import derivation_to_dependency, is_projective, parse_dependency, resolve_order, serialize_dependency
-from .derive import parse_script, run_derivation
 from .errors import GrammarFormatError, TagError
-from .grammar import check_lexicalized, validate_tree
-from .grammar_io import parse_grammar
-from .linearize import linearize, parse_rules
 
 
 def _read(path: str) -> str:
     if path.startswith("corpus:"):
+        from . import corpus
         return corpus.read(path[len("corpus:"):])
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -35,6 +32,7 @@ def _emit(text: str, out: str | None):
 
 
 def _load_grammar(args):
+    from .grammar_io import parse_grammar
     return parse_grammar(_read(args.grammar))
 
 
@@ -88,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
+    from .grammar import check_lexicalized, validate_tree
     grammar = _load_grammar(args)
     reports = [validate_tree(t) for t in grammar.all_trees()]
     lex = check_lexicalized(grammar)
@@ -123,33 +122,56 @@ def _lexemes(grammar, script) -> dict[str, str]:
     }
 
 
-# The structures a grammar and a script give, and their renderers by
-# --format.  Text renders a derivation or a derived tree as JSON.
-_STRUCTURES = {
-    "derivation": lambda grammar, script: (script, _lexemes(grammar, script)),
-    "derived": lambda grammar, script: run_derivation(grammar, script)[0],
-    "dep": lambda grammar, script: derivation_to_dependency(script, grammar),
-}
-_RENDERERS = {
-    "derivation": {
-        "text": lambda d: exports.derivation_to_json(d[0]),
-        "json": lambda d: exports.derivation_to_json(d[0]),
-        "dot": lambda d: exports.derivation_to_dot(*d),
-    },
-    "derived": {
-        "text": exports.phrase_to_json,
-        "json": exports.phrase_to_json,
-        "dot": exports.phrase_to_dot,
-    },
-    "dep": {
-        "text": serialize_dependency,
-        "json": exports.dependency_to_json,
-        "dot": exports.dependency_to_dot,
-    },
-}
+def _structure(what: str, grammar, script):
+    """The structure a grammar and a script give, by ``export --what``."""
+    if what == "derivation":
+        return script, _lexemes(grammar, script)
+    if what == "derived":
+        from .derive import run_derivation
+        return run_derivation(grammar, script)[0]
+    from .dependency import derivation_to_dependency
+    return derivation_to_dependency(script, grammar)
+
+
+def _render(what: str, fmt: str, value) -> str:
+    """Render a structure by --format.  Text renders a derivation or a
+    derived tree as JSON, and a dependency tree in its file format."""
+    if what == "dep" and fmt == "text":
+        from .dependency import serialize_dependency
+        return serialize_dependency(value)
+    from . import exports
+    to_json, to_dot = {
+        "derivation": (lambda d: exports.derivation_to_json(d[0]), lambda d: exports.derivation_to_dot(*d)),
+        "derived": (exports.phrase_to_json, exports.phrase_to_dot),
+        "dep": (exports.dependency_to_json, exports.dependency_to_dot),
+    }[what]
+    return to_dot(value) if fmt == "dot" else to_json(value)
+
+
+def _tuple_repr(value) -> str:
+    """``repr(value)`` for nested tuples, written with an explicit stack
+    so that the canonical form of a derivation of any depth prints."""
+    parts = []
+    stack = [(False, value)]  # (is literal text, item)
+    while stack:
+        literal, item = stack.pop()
+        if literal:
+            parts.append(item)
+        elif type(item) is not tuple:
+            parts.append(repr(item))
+        else:
+            pieces = [(True, "(")]
+            for i, element in enumerate(item):
+                if i:
+                    pieces.append((True, ", "))
+                pieces.append((False, element))
+            pieces.append((True, ",)" if len(item) == 1 else ")"))
+            stack.extend(reversed(pieces))
+    return "".join(parts)
 
 
 def _cmd_derive(args) -> int:
+    from .derive import parse_script, run_derivation
     grammar = _load_grammar(args)
     script = parse_script(_read(args.script), grammar)
     derived, sentence = run_derivation(grammar, script)
@@ -157,41 +179,45 @@ def _cmd_derive(args) -> int:
     if args.format == "text":
         _emit(sentence, args.out)
     else:
-        _emit(_RENDERERS["derived"][args.format](derived), args.out)
+        _emit(_render("derived", args.format, derived), args.out)
     return 0
 
 
 def _cmd_parse(args) -> int:
+    from .chart import parse
     grammar = _load_grammar(args)
     words = args.sentence.split()
-    result = chart.parse(grammar, words, cap=args.cap)
-    if args.format == "json":
-        payload = {
-            "recognized": result.recognized,
-            "derivations": [
-                json.loads(exports.derivation_to_json(d)) for d in result.derivations
-            ],
-            "stats": result.stats,
-        }
-        _emit(json.dumps(payload, indent=2, ensure_ascii=False), args.out)
-    elif args.format == "dot":
-        if not result.derivations:
-            print("no derivation", file=sys.stderr)
-            return 1
-        _emit(exports.derivation_to_dot(result.derivations[0]), args.out)
-    else:
+    result = parse(grammar, words, cap=args.cap)
+    if args.format == "text":
         lines = [f"recognized: {'yes' if result.recognized else 'no'}"]
         lines.extend(
-            f"derivation {i + 1}: {d.canonical()}" for i, d in enumerate(result.derivations)
+            f"derivation {i + 1}: {_tuple_repr(d.canonical())}" for i, d in enumerate(result.derivations)
         )
         _emit("\n".join(lines), args.out)
+    else:
+        from . import exports
+        if args.format == "json":
+            payload = {
+                "recognized": result.recognized,
+                "derivations": [
+                    json.loads(exports.derivation_to_json(d)) for d in result.derivations
+                ],
+                "stats": result.stats,
+            }
+            _emit(json.dumps(payload, indent=2, ensure_ascii=False), args.out)
+        elif not result.derivations:
+            print("no derivation", file=sys.stderr)
+            return 1
+        else:
+            _emit(exports.derivation_to_dot(result.derivations[0]), args.out)
     print(json.dumps(result.stats), file=sys.stderr)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from .chart import enumerate_language
     grammar = _load_grammar(args)
-    sentences = sorted(chart.enumerate_language(grammar, args.max_trees))
+    sentences = sorted(enumerate_language(grammar, args.max_trees))
     if args.format == "json":
         _emit(json.dumps(sentences, indent=2, ensure_ascii=False), args.out)
     else:
@@ -200,13 +226,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_dep(args) -> int:
+    from .derive import parse_script
     grammar = _load_grammar(args)
-    dep = derivation_to_dependency(parse_script(_read(args.script), grammar), grammar)
-    _emit(_RENDERERS["dep"][args.format](dep), args.out)
+    script = parse_script(_read(args.script), grammar)
+    _emit(_render("dep", args.format, _structure("dep", grammar, script)), args.out)
     return 0
 
 
 def _cmd_projective(args) -> int:
+    from .dependency import is_projective, parse_dependency, resolve_order
     tree = parse_dependency(_read(args.tree))
     order = None
     if args.order:
@@ -223,6 +251,8 @@ def _cmd_projective(args) -> int:
 
 
 def _cmd_linearize(args) -> int:
+    from .dependency import parse_dependency
+    from .syntagm import linearize, parse_rules
     tree = parse_dependency(_read(args.tree))
     rules = parse_rules(_read(args.rules))
     words = linearize(tree, rules)
@@ -235,15 +265,17 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.tree:
+        from .dependency import parse_dependency
         what, value = "dep", parse_dependency(_read(args.tree))
     elif args.grammar and args.script:
+        from .derive import parse_script
         grammar = _load_grammar(args)
         script = parse_script(_read(args.script), grammar)
-        what, value = args.what, _STRUCTURES[args.what](grammar, script)
+        what, value = args.what, _structure(args.what, grammar, script)
     else:
         print("export needs either -t, or -g with -s", file=sys.stderr)
         return 2
-    _emit(_RENDERERS[what][args.format](value), args.out)
+    _emit(_render(what, args.format, value), args.out)
     return 0
 
 

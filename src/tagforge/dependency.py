@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .derive import ACTANT_RE, DerivationTree, find_cycle
 from .errors import GrammarFormatError, IncompleteOrder, InversionError
-from .grammar import Grammar
+from .trees import ACTANT_RE, find_cycle
+
+if TYPE_CHECKING:
+    from .derive import DerivationTree
+    from .grammar import Grammar
 
 ATTR = "ATTR"
 S_ARC = "S"

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import cmp_to_key
+from typing import NamedTuple, Sequence
 
 from .errors import (
     GrammarFormatError,
@@ -29,6 +30,7 @@ from .trees import (
     WORD_KINDS,
     Address,
     TreeNode,
+    find_cycle,
     format_address,
     frontier,
     is_prefix,
@@ -213,36 +215,12 @@ def _adjoin_members(
     return result
 
 
-ACTANT_RE = re.compile(r"^[1-9][0-9]*$")
-
-
 class DerivationStep(NamedTuple):
     op: str  # "substitute" | "adjoin" | "adjoin_set"
     child: str  # instance name (set id for adjoin_set)
     parent: str  # instance name
     site: Address | tuple[Address, ...]  # one address, or several for adjoin_set
     arc_label: str  # "1", "2", ..., "ATTR" or "S"
-
-
-def find_cycle(up: dict[str, str], root: str, starts: Iterable[str]) -> str | None:
-    """The first node met twice on a walk up ``up`` (node -> parent),
-    or None when every walk reaches ``root``.
-
-    Walks start from each of ``starts`` in turn and stop at a node already
-    known to reach the root, so each node is walked once.  Every node but
-    the root must have a parent in ``up``.
-    """
-    reaches_root = {root}
-    for start in starts:
-        path = set()
-        node = start
-        while node not in reaches_root:
-            if node in path:
-                return node
-            path.add(node)
-            node = up[node]
-        reaches_root |= path
-    return None
 
 
 @dataclass
@@ -278,23 +256,69 @@ class DerivationTree:
         if node is not None:
             raise GrammarFormatError(f"cycle through instance {node!r}")
 
-    def canonical(self):
-        """Order-independent structural form, for equality checks."""
+    def _fold(self, combine):
+        """Fold the tree bottom-up from the root, with an explicit
+        post-order stack: ``combine(tree id, [(step, child value), ...])``
+        gives an instance's value, children in script order."""
         children = self._steps_by_parent()
+        values: dict[str, object] = {}
+        open_: set[str] = set()  # expanded, not yet combined
+        stack = [(self.root, False)]
+        while stack:
+            instance, expanded = stack.pop()
+            kids = children.get(instance, ())
+            if expanded:
+                open_.discard(instance)
+                values[instance] = combine(
+                    self.instances[instance], [(s, values.pop(s.child)) for _, s in kids]
+                )
+                continue
+            if instance in open_:
+                raise GrammarFormatError(f"cycle through instance {instance!r}")
+            open_.add(instance)
+            stack.append((instance, True))
+            stack.extend((s.child, False) for _, s in kids)
+        return values[self.root]
 
-        def canon(instance):
-            kids = sorted(
-                (s.op, s.site, s.arc_label, canon(s.child))
-                for _, s in children.get(instance, ())
-            )
-            return (self.instances[instance], tuple(kids))
-
-        return canon(self.root)
+    def canonical(self):
+        """Order-independent structural form as nested tuples; two trees
+        are equal exactly when their canonical forms are."""
+        return self._fold(lambda tree_id, kids: (tree_id, _sorted_steps(kids, _DEEP_ORDER)))
 
     def __eq__(self, other):
         if not isinstance(other, DerivationTree):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        # Each canonical node is numbered in one table shared by both
+        # trees, so no nested form is built or compared at any depth.
+        ids: dict[tuple, int] = {}
+
+        def number(tree_id, kids):
+            return ids.setdefault((tree_id, _sorted_steps(kids)), len(ids))
+
+        return self._fold(number) == other._fold(number)
+
+
+def _sorted_steps(kids, key=None) -> tuple:
+    """The sorted (op, site, label, child value) of a node's steps."""
+    return tuple(sorted(((s.op, s.site, s.arc_label, v) for s, v in kids), key=key))
+
+
+def _deep_order(a, b) -> int:
+    """Python's order of two nested tuples (-1, 0 or 1), found with an
+    explicit stack: sibling subtrees alike to any depth sort without
+    recursion."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is tuple and type(y) is tuple:
+            stack.append((len(x), len(y)))  # decides only when all pairs tie
+            stack.extend(reversed(tuple(zip(x, y))))
+        elif x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+_DEEP_ORDER = cmp_to_key(_deep_order)
 
 
 def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree, str]:

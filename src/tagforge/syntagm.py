@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .dependency import DependencyTree
-from .derive import ACTANT_RE
 from .errors import AmbiguousRule, GrammarFormatError, NoRule, TagError
+from .trees import ACTANT_RE
+
+if TYPE_CHECKING:
+    from .dependency import DependencyTree
 
 
 @dataclass(frozen=True)

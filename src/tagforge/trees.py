@@ -1,12 +1,15 @@
 """Phrase-structure tree nodes and Gorn-style child-index addresses.
 
 An address is a tuple of 1-based child indices from the root; the root
-itself is the empty tuple, written ``0`` in the textual formats.
+itself is the empty tuple, written ``0`` in the textual formats.  The
+arc-label and cycle helpers at the end are shared by derivation and
+dependency trees.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import GrammarFormatError, IllegalSite
 
@@ -125,3 +128,28 @@ def parse_address(text: str) -> Address:
 
 def is_prefix(prefix: Address, address: Address) -> bool:
     return len(prefix) <= len(address) and address[: len(prefix)] == prefix
+
+
+# Actant arc labels are 1, 2, ...; ATTR and S are not actants.
+ACTANT_RE = re.compile(r"^[1-9][0-9]*$")
+
+
+def find_cycle(up: dict[str, str], root: str, starts: Iterable[str]) -> str | None:
+    """The first node met twice on a walk up ``up`` (node -> parent),
+    or None when every walk reaches ``root``.
+
+    Walks start from each of ``starts`` in turn and stop at a node already
+    known to reach the root, so each node is walked once.  Every node but
+    the root must have a parent in ``up``.
+    """
+    reaches_root = {root}
+    for start in starts:
+        path = set()
+        node = start
+        while node not in reaches_root:
+            if node in path:
+                return node
+            path.add(node)
+            node = up[node]
+        reaches_root |= path
+    return None

@@ -1,11 +1,13 @@
 """Substitution, adjunction, set adjunction, script replay and the
 golden derivations bundled with the package."""
 import random
+import sys
 
 import pytest
 
 import tagforge as tf
 from tagforge import corpus, derive, exports
+from tagforge.cli import _tuple_repr
 from tagforge.derive import PhraseTree, serialize_script
 from tagforge.errors import (
     GrammarFormatError,
@@ -389,6 +391,32 @@ def test_derivation_validate_long_chain():
     """Each walk up stops at an instance known to reach the root, so a
     10^4-instance chain validates in one pass."""
     _chain("b0", [(f"b{i}", f"b{i + 1}") for i in range(10_000)]).validate()
+
+
+def test_deep_derivation_compares_and_prints():
+    """``canonical``, ``==`` and the CLI's parse text line use explicit
+    stacks, so a 2,000-deep chain, and two sibling chains alike for 1,000
+    levels (which sorting must compare), need no raised recursion limit;
+    only the ``repr`` the text line must equal does."""
+    chain = [(f"b{i}", f"b{i + 1}") for i in range(2_000)]
+    twins = [("r", "a0"), ("r", "b0")]
+    twins += [(f"{x}{i}", f"{x}{i + 1}") for x in "ab" for i in range(1_000)]
+    assert _chain("b0", chain) != _chain("b0", chain[:-1])
+    for deep in (_chain("b0", chain), _chain("r", twins)):
+        canonical = deep.canonical()
+        assert deep == deep
+        text = _tuple_repr(canonical)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            assert text == repr(canonical)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def test_canonical_refuses_a_cycle():
+    with pytest.raises(GrammarFormatError, match="cycle through instance 'a'"):
+        _chain("a", [("a", "b"), ("b", "a")]).canonical()
 
 
 def test_parse_script_rejects_unknown_tree(english):

@@ -1,0 +1,113 @@
+"""Which tagforge modules each process loads, and the lazy package surface.
+
+Every check runs in a fresh interpreter: runs in one process share
+``sys.modules``, which would hide an import that one verb lacks.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tagforge as tf
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "bench" / "golden"
+
+# The corpus example of each verb (the README's), with its expected
+# stdout in bench/golden/<verb>.txt.
+VERBS = {
+    "validate": ["-g", "corpus:english.tag"],
+    "derive": ["-g", "corpus:english.tag", "-s", "corpus:fig7.drv"],
+    "parse": ["-g", "corpus:english.tag", "John really likes Lyn"],
+    "enumerate": ["-g", "corpus:english.tag", "--max-trees", "4"],
+    "dep": ["-g", "corpus:english_wh.tag", "-s", "corpus:fig10.drv"],
+    "projective": [
+        "-t", "corpus:fig8.dep",
+        "--order", "who do you think that Mary claimed that Sarah liked",
+    ],
+    "linearize": ["-t", "corpus:fig18.dep", "-r", "corpus:dutch.syn"],
+    "export": [
+        "-g", "corpus:english.tag", "-s", "corpus:fig7.drv",
+        "--what", "derivation", "--format", "dot",
+    ],
+}
+
+# Runs main(argv) and prints the tagforge modules loaded as the last
+# line of stderr.
+RUN_VERB = """
+import json, sys
+from tagforge.cli import main
+code = main(json.loads(sys.argv[1]))
+loaded = sorted(k for k in sys.modules if k.startswith("tagforge."))
+print(json.dumps(loaded), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(tf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_verb_loads_only_its_layers(verb):
+    proc = _python(RUN_VERB, json.dumps([verb, *VERBS[verb]]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{verb}.txt").read_text(encoding="utf-8")
+    loaded = {name.split(".", 1)[1] for name in json.loads(proc.stderr.splitlines()[-1])}
+    if verb == "validate":
+        assert not loaded & {"chart", "derive", "dependency", "syntagm", "exports"}
+    if verb in ("projective", "linearize"):
+        assert not loaded & {"chart", "derive", "grammar", "grammar_io", "exports"}
+    assert ("chart" in loaded) == (verb in ("parse", "enumerate"))
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import tagforge.syntagm",
+        "from tagforge.cli import main; main(['linearize', '-t', 'corpus:fig18.dep', "
+        "'-r', 'corpus:dutch.syn'])",
+    ],
+)
+def test_linearize_stays_the_function(first):
+    """The linearizer's module is ``syntagm``, so no submodule import can
+    rebind the package attribute ``linearize``."""
+    proc = _python(
+        f"{first}\n"
+        "import tagforge, tagforge.syntagm\n"
+        "assert tagforge.linearize is tagforge.syntagm.linearize\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_surface():
+    proc = _python(
+        """
+import tagforge
+names = {}
+exec("from tagforge import *", names)
+assert set(names) - {"__builtins__"} == set(tagforge.__all__), names.keys()
+assert set(tagforge.__all__) <= set(dir(tagforge))
+try:
+    tagforge.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("tagforge.no_such_name did not raise AttributeError")
+from tagforge import corpus, derive, exports
+assert derive.run_derivation is tagforge.run_derivation
+assert callable(exports.derivation_to_json) and corpus.read("fig7.drv")
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
