@@ -265,9 +265,41 @@ def _adverbs(k):
 
 
 def test_chart_items_bounded_on_adverb_stacking(english):
+    """The word-context filter keeps only the stacked adverbs' items that
+    end where the verb phrase must end, so items grow linearly in k."""
     result = tf.parse(english, _adverbs(128), cap=1)
     assert result.recognized
-    assert result.stats["items"] <= 10_000
+    assert result.stats["items"] <= 1_000
+    doubled = tf.parse(english, _adverbs(256), cap=1)
+    assert doubled.recognized
+    assert doubled.stats["items"] <= 2.1 * result.stats["items"]
+
+
+def test_word_contexts_follow_grammar_changes():
+    """The word-context table is kept with the grammar and rebuilt when a
+    tree or the start symbol changes.  Each edit below uses only words the
+    grammar already has, so only a stale table would refuse the sentence
+    it makes parse.  No tree substitutes a Q, so ``alpha_q`` can take part
+    in a parse only once Q is the start symbol."""
+    grammar = tf.parse_grammar(corpus.read("english.tag") + 'tree alpha_q initial (Q "John"@)\n')
+
+    def put(text):
+        tree = tf.parse_grammar(text).trees.popitem()[1]
+        return lambda: grammar.trees.__setitem__(tree.id, tree)
+
+    edits = [
+        ("John likes really Lyn", put('tree beta_np aux (NP "really"@ NP*)')),
+        # A new tree object under an old id.
+        ("John likes Lyn really", put('tree beta1 aux (VP VP* "really"@)')),
+        ("John", lambda: setattr(grammar, "start_symbol", "Q")),
+    ]
+    for sentence, edit in edits:
+        words = sentence.split()
+        assert not tf.recognize(grammar, words), sentence
+        assert not tf.parse(grammar, words).recognized, sentence
+        edit()
+        assert tf.recognize(grammar, words), sentence
+        assert len(tf.parse(grammar, words).derivations) == 1, sentence
 
 
 def test_recognize_long_adverb_stack(english):
@@ -282,6 +314,7 @@ def test_parse_long_adverb_stack(english, capsys):
     assert result.recognized
     [derivation] = result.derivations
     assert len(derivation.steps) == 602
+    assert result.stats["items"] <= 5_000
     assert list(derivation.instances.values()).count("beta1") == 600
     sentence = " ".join(_adverbs(600))
     argv = ["parse", "-g", "corpus:english.tag", sentence, "--cap", "1", "--format", "json"]
