@@ -46,16 +46,15 @@ without wordless trees no item derives itself: the chart is acyclic and
 every item has finitely many derivations.  ``recognize`` accepts such
 grammars, since fill terminates on them anyway.
 
-Enumeration is lazy, in the manner of Huang & Chiang 2005 ("Better
-k-best parsing", Algorithm 3; with uniform weights its order is the
-lexicographic order above).  Every item reached keeps the prefix of its
-derivations found so far, shared by every item that uses it.  A request
-for an item's first n derivations is met on demand, from an explicit
-stack: it extends the item's prefix in bulk and asks each child only for
-the derivations that extension needs.  Each derivation of every item is
-built once, so the cost grows with the derivations returned, not with
-the whole forest; and since nothing recurses, deep derivations (hundreds
-of stacked adjunctions) are read off like shallow ones.
+Derivations are read off in one memoized pass, the k-best recurrence of
+Huang & Chiang 2005 ("Better k-best parsing", Algorithms 1-2) with
+uniform weights, whose order is the lexicographic order above.  Each
+item reached builds the list of its first ``cap`` derivations once, from
+its children's finished lists, and every item that uses it shares it;
+an item reads its backpointers only until it has ``cap``, so the cost
+grows with the derivations returned, not with the whole forest.  An
+explicit stack drives the pass, so deep derivations (hundreds of stacked
+adjunctions) are read off like shallow ones.
 
 ``enumerate_language`` is an independent brute-force oracle: it expands
 every derivation using a bounded number of elementary trees, without
@@ -396,173 +395,115 @@ _UNARY = frozenset(("noadj", "children", "first"))
 _LEAF = frozenset(("lex", "foot"))
 
 
-class _Cursor:
-    """One item's derivations found so far, in canonical order, and where
-    its enumeration stands: backpointer ``b``, and inside a two-child
-    backpointer, left index ``l`` and right index ``r`` (left-major)."""
+def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[DerivationTree]:
+    """The first ``cap`` derivations of the goals, in the given order.
 
-    __slots__ = ("item", "bps", "vals", "done", "b", "l", "r", "left", "right")
-
-    def __init__(self, item: tuple, bps: list[tuple]):
-        self.item = item
-        self.bps = bps
-        self.vals: list[tuple] = []
-        self.done = False
-        self.b = self.l = self.r = 0
-        self.left: _Cursor | None = None
-        self.right: _Cursor | None = None
-
-    def next_backpointer(self) -> None:
-        self.b += 1
-        self.l = self.r = 0
-        self.left = self.right = None
-
-
-class _Derivations:
-    """Demand-driven enumeration of a filled chart's derivations.
-
-    Every item reached keeps the prefix of its derivations found so far
-    (an ops tuple each), and every item that uses it shares that prefix.
-    A request ``(cursor, n)`` extends the prefix in bulk from what the
-    children have found and asks each child only for what the extension
-    still needs; an explicit stack drives the requests, so nothing
-    recurses.  An op is ``(op, site, arc label, child tree id, child
-    ops)``; each label is resolved once per (tree, site) and cached, so
-    building a derivation needs no grammar lookups.
+    Every item reached gets the list of its first ``cap`` derivations (an
+    ops tuple each), built once from its children's finished lists and
+    shared by every item that uses it.  An item reads its sorted
+    backpointers in order and stops once it has ``cap``, so a child is
+    reached only when a derivation needs it.  An explicit stack of frames
+    ``[item, next backpointer, derivations so far]`` drives the pass: a
+    child still to build is pushed above the frame that needs it and is
+    finished before that frame resumes, so nothing recurses.  An op is
+    ``(op, site, arc label, child tree id, child ops)``; each label is
+    resolved once per (tree, site) and cached, so building a derivation
+    needs no grammar lookups.
 
     The chart must be acyclic (``parse`` checks that the grammar has no
-    tree without a word), so no item waits, directly or through others,
-    on its own derivations.
+    tree without a word), so no item is needed while its own frame is
+    open, and every item has at least one derivation: a list found in
+    ``lists`` by the frame on top is finished and not empty.
     """
+    backpointers = chart.backpointers
+    lists: dict[tuple, list[tuple]] = {}
+    leaf = [()]  # the one derivation, with no ops, of a word or foot item
+    labels: dict[tuple, str] = {}
+    stack: list[list] = []
 
-    def __init__(self, chart: _Chart):
-        self.backpointers = chart.backpointers
-        self.trees = chart.trees
-        self.start = chart.start
-        self.cursors: dict[tuple, _Cursor] = {}
-        self.leaf = _Cursor((), [])  # one derivation, with no ops
-        self.leaf.vals.append(())
-        self.leaf.done = True
-        self.labels: dict[tuple, str] = {}
-
-    def first(self, goals: list[tuple], cap: int) -> list[DerivationTree]:
-        """The first ``cap`` derivations of the goals, in the given order."""
-        found: list[DerivationTree] = []
-        for goal in goals:
-            room = cap - len(found)
-            if room <= 0:
-                break
-            cursor = self._cursor(goal)
-            self._request(cursor, room)
-            found += [_derivation_tree(goal[1], ops) for ops in cursor.vals[:room]]
-        return found
-
-    def _cursor(self, item: tuple) -> _Cursor:
-        # An item whose only backpointer is unary shares its child's
-        # cursor.  A word or foot item has one backpointer and no ops, so
-        # all of them share one spent cursor.
-        bps = self.backpointers[item]
-        while len(bps) == 1 and bps[0][0] in _UNARY:
-            item = bps[0][1]
-            bps = self.backpointers[item]
-        cursor = self.cursors.get(item)
-        if cursor is None:
-            if len(bps) == 1 and bps[0][0] in _LEAF:
-                cursor = self.leaf
-            else:
-                cursor = self.cursors[item] = _Cursor(item, bps)
-        return cursor
-
-    def _label(self, tid: str, site: Address | None) -> str:
+    def label(tid: str, site: Address | None) -> str:
         """The arc label of substituting at ``site`` of tree ``tid`` (its
         actant number), or of adjoining tree ``tid`` (site None)."""
-        label = self.labels.get((tid, site))
-        if label is None:
-            tree = self.trees[tid]
+        found = labels.get((tid, site))
+        if found is None:
+            tree = chart.trees[tid]
             if site is not None:
-                label = str(tree.substitution_addresses().index(site) + 1)
+                found = str(tree.substitution_addresses().index(site) + 1)
             else:
-                label = "S" if tree.root.label == self.start else "ATTR"
-            self.labels[tid, site] = label
-        return label
+                found = "S" if tree.root.label == chart.start else "ATTR"
+            labels[tid, site] = found
+        return found
 
-    def _request(self, cursor: _Cursor, n: int) -> None:
-        """Extend ``cursor`` to ``n`` derivations, or to all it has."""
-        stack = [(cursor, n)]
+    def reach(item: tuple) -> list[tuple]:
+        """The list of ``item``, pushing a frame to build it if it is new.
+        An item whose only backpointer is unary shares its child's list,
+        and every word and foot item shares ``leaf``."""
+        key = item
+        bps = backpointers[item]
+        while len(bps) == 1 and bps[0][0] in _UNARY:
+            item = bps[0][1]
+            vals = lists.get(item)
+            if vals is not None:
+                break
+            bps = backpointers[item]
+        else:
+            if len(bps) == 1 and bps[0][0] in _LEAF:
+                vals = leaf
+            else:
+                vals = lists[item] = []
+                stack.append([item, 0, vals])
+        lists[key] = vals
+        return vals
+
+    found: list[DerivationTree] = []
+    for goal in goals:
+        want = cap - len(found)
+        if want <= 0:
+            break
+        first = lists.get(goal) or reach(goal)
         while stack:
-            needs = self._advance(*stack[-1])
-            if needs:
-                stack += needs
+            frame = stack[-1]
+            item, b, vals = frame
+            bps = backpointers[item]
+            while len(vals) < cap and b < len(bps):
+                bp = bps[b]
+                # Both children at once, the right one reached first: its
+                # frame goes below the left one's, and nothing the left
+                # child needs is the right child, whose span lies after
+                # (concat) or strictly around (adjoin) the left child's.
+                if len(bp) == 3:
+                    right = lists.get(bp[2]) or reach(bp[2])
+                left = lists.get(bp[1]) or reach(bp[1])
+                if stack[-1] is not frame:
+                    break
+                b += 1
+                kind = bp[0]
+                room = cap - len(vals)
+                if kind == "subst":
+                    _, tid, site = item[:3]
+                    arc = label(tid, site)
+                    child = bp[1][1]
+                    vals += [(("substitute", site, arc, child, ops),) for ops in left[:room]]
+                    continue
+                if len(bp) == 2:
+                    vals += left[:room]
+                    continue
+                if kind == "adjoin":  # the aux tree's derivations go on the right
+                    site = item[2]
+                    child = bp[2][1]
+                    arc = label(child, None)
+                    right = [(("adjoin", site, arc, child, ops),) for ops in right[:room]]
+                # Left-major product, row by row, cut at ``cap``.
+                for below in left:
+                    vals += [below + ops for ops in right[: cap - len(vals)]]
+                    if len(vals) == cap:
+                        break
             else:
                 stack.pop()
-
-    def _advance(self, cursor: _Cursor, n: int) -> tuple:
-        """Extend ``cursor.vals`` towards ``n`` from what its children
-        have found.  Returns the ``(child, count)`` requests that must be
-        met first, or ``()`` once ``n`` is reached or the item is spent."""
-        vals = cursor.vals
-        bps = cursor.bps
-        while len(vals) < n:
-            if cursor.b == len(bps):
-                cursor.done = True
-                return ()
-            bp = bps[cursor.b]
-            kind = bp[0]
-            left = cursor.left
-            if left is None:
-                left = cursor.left = self._cursor(bp[1])
-                if len(bp) == 3:
-                    cursor.right = self._cursor(bp[2])
-            right = cursor.right
-            room = n - len(vals)
-            if right is None:  # one child: pass through, or substitute
-                have = left.vals
-                r = cursor.r
-                if r < len(have):
-                    chunk = have[r : r + room]
-                    cursor.r = r + len(chunk)
-                    if kind == "subst":
-                        _, tid, site = cursor.item[:3]
-                        label = self._label(tid, site)
-                        child = bp[1][1]
-                        vals += [(("substitute", site, label, child, ops),) for ops in chunk]
-                    else:
-                        vals += chunk
-                elif left.done:
-                    cursor.next_backpointer()
-                else:
-                    return ((left, r + room),)
                 continue
-            lefts, rights = left.vals, right.vals
-            l, r = cursor.l, cursor.r
-            if r == len(rights) and right.done and rights:  # row l is complete
-                cursor.l = l = l + 1
-                cursor.r = r = 0
-            if right.done and not rights or left.done and l == len(lefts):
-                cursor.next_backpointer()
-                continue
-            if l < len(lefts) and r < len(rights):
-                chunk = rights[r : r + room]
-                cursor.r = r + len(chunk)
-                below = lefts[l]
-                if kind == "concat":
-                    vals += [below + ops for ops in chunk]
-                else:  # adjoin: the aux tree's derivations go on the right
-                    site = cursor.item[2]
-                    child = bp[2][1]
-                    label = self._label(child, None)
-                    vals += [below + (("adjoin", site, label, child, ops),) for ops in chunk]
-                continue
-            # Right child up to r + room, then the left child up to the
-            # row that covers the rest; both at once when both are short.
-            needs = []
-            if not right.done and len(rights) < r + room:
-                needs.append((right, r + room))
-            if l >= len(lefts) and not left.done:
-                rows = -(-room // len(rights)) if right.done else 1
-                needs.append((left, l + rows))
-            return needs
-        return ()
+            frame[1] = b
+        found += [_derivation_tree(goal[1], ops) for ops in first[:want]]
+    return found
 
 
 def _derivation_tree(tree_id: str, ops: tuple) -> DerivationTree:
@@ -619,12 +560,12 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     follows that canonical order (tree ids, then addresses, then spans).
     Every item and backpointer is stored once, so the enumeration yields
     each derivation once: ``min(cap, total)`` are returned, with no
-    dedupe.  Enumeration is demand-driven and stack-based: each item
-    keeps a shared prefix of its derivations and is extended only as far
-    as the ``cap`` needs, so the cost grows with the derivations returned
-    and no derivation is too deep for it.  A grammar with a tree that has
-    no word could make a chart item derive itself, so it is refused with
-    ``RefuseUnbounded`` before fill, at any ``cap``.  The derivations are
+    dedupe.  Each item reached builds at most ``cap`` derivations, once,
+    and shares them with every item that uses it, so the cost grows with
+    the derivations returned; an explicit stack, not recursion, walks the
+    chart, so no derivation is too deep for it.  A grammar with a tree
+    that has no word could make a chart item derive itself, so it is
+    refused with ``RefuseUnbounded`` before fill, at any ``cap``.  The derivations are
     read off the chart and not replayed; ``tests/test_parser.py`` checks
     that each one replays to ``words``.  The word-context filter keeps
     only items whose neighbouring words the grammar allows; it drops no
@@ -646,7 +587,7 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
             bps.sort()  # final once fill ends, so sorted once, not per visit
         # Goals differ only in tree id; sorting fixes their order, which
         # otherwise follows the agenda.
-        derivations = _Derivations(chart).first(sorted(chart.goals), cap)
+        derivations = _first_derivations(chart, sorted(chart.goals), cap)
     stats = {
         "items": len(chart.backpointers),
         "trees": len(chart.trees),

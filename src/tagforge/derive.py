@@ -197,7 +197,8 @@ def _adjoin_members(
     members: Sequence[ElementaryTree | PhraseTree],
 ) -> PhraseTree:
     """The body of ``adjoin_set``, for members given as elementary trees
-    or as trees already built (with their own derivation children)."""
+    or as phrase trees (a script's set step builds them from the set's
+    elementary trees)."""
     if len(sites) != len(members):
         raise SetArity(
             f"set {set_id!r} has {len(members)} members but {len(sites)} sites were given"
@@ -258,8 +259,9 @@ class DerivationTree:
 
     def _fold(self, combine):
         """Fold the tree bottom-up from the root, with an explicit
-        post-order stack: ``combine(tree id, [(step, child value), ...])``
-        gives an instance's value, children in script order."""
+        post-order stack: ``combine(instance, tree id, [(step index,
+        step, child value), ...])`` gives an instance's value, children
+        in script order."""
         children = self._steps_by_parent()
         values: dict[str, object] = {}
         open_: set[str] = set()  # expanded, not yet combined
@@ -270,7 +272,9 @@ class DerivationTree:
             if expanded:
                 open_.discard(instance)
                 values[instance] = combine(
-                    self.instances[instance], [(s, values.pop(s.child)) for _, s in kids]
+                    instance,
+                    self.instances[instance],
+                    [(i, s, values.pop(s.child)) for i, s in kids],
                 )
                 continue
             if instance in open_:
@@ -283,7 +287,7 @@ class DerivationTree:
     def canonical(self):
         """Order-independent structural form as nested tuples; two trees
         are equal exactly when their canonical forms are."""
-        return self._fold(lambda tree_id, kids: (tree_id, _sorted_steps(kids, _DEEP_ORDER)))
+        return self._fold(lambda _, tree_id, kids: (tree_id, _sorted_steps(kids, _DEEP_ORDER)))
 
     def __eq__(self, other):
         if not isinstance(other, DerivationTree):
@@ -292,7 +296,7 @@ class DerivationTree:
         # trees, so no nested form is built or compared at any depth.
         ids: dict[tuple, int] = {}
 
-        def number(tree_id, kids):
+        def number(_, tree_id, kids):
             return ids.setdefault((tree_id, _sorted_steps(kids)), len(ids))
 
         return self._fold(number) == other._fold(number)
@@ -300,7 +304,7 @@ class DerivationTree:
 
 def _sorted_steps(kids, key=None) -> tuple:
     """The sorted (op, site, label, child value) of a node's steps."""
-    return tuple(sorted(((s.op, s.site, s.arc_label, v) for s, v in kids), key=key))
+    return tuple(sorted(((s.op, s.site, s.arc_label, v) for _, s, v in kids), key=key))
 
 
 def _deep_order(a, b) -> int:
@@ -324,42 +328,45 @@ _DEEP_ORDER = cmp_to_key(_deep_order)
 def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree, str]:
     """Replay a derivation tree; returns the derived tree and its yield."""
     script.validate()
-    children = script._steps_by_parent()
 
-    def build(instance: str) -> PhraseTree:
-        tree_id = script.instances[instance]
-        phrase = PhraseTree.from_elementary(grammar.tree(tree_id), instance)
-        for idx, step in children.get(instance, ()):
-            try:
-                if step.op == "adjoin_set":
-                    set_id = script.instances[step.child]
-                    if set_id not in grammar.tree_sets:
-                        raise UnknownTree(f"no tree set named {set_id!r}")
-                    sites = [phrase.address_of(instance, s) for s in step.site]
-                    members = [_build_member(m) for m in grammar.tree_sets[set_id].members]
-                    phrase = _adjoin_members(phrase, sites, set_id, members)
-                else:
-                    child_pt = build(step.child)
+    def build(instance: str, tree_id: str, kids: list) -> PhraseTree | TagError:
+        # A fault is returned, not raised, and raised by the step that
+        # attaches this instance, so the fault reported is the one a
+        # depth-first replay in script order meets first.
+        try:
+            phrase = PhraseTree.from_elementary(grammar.tree(tree_id), instance)
+            for idx, step, child in kids:
+                try:
+                    if step.op == "adjoin_set":
+                        set_id = script.instances[step.child]
+                        if set_id not in grammar.tree_sets:
+                            raise UnknownTree(f"no tree set named {set_id!r}")
+                        sites = [phrase.address_of(instance, s) for s in step.site]
+                        members = [
+                            PhraseTree.from_elementary(m) for m in grammar.tree_sets[set_id].members
+                        ]
+                        phrase = _adjoin_members(phrase, sites, set_id, members)
+                        continue
+                    if isinstance(child, TagError):
+                        raise child
                     here = phrase.address_of(instance, step.site)
                     if step.op == "substitute":
-                        phrase = substitute(phrase, here, child_pt)
+                        phrase = substitute(phrase, here, child)
                     elif step.op == "adjoin":
-                        phrase = adjoin(phrase, here, child_pt)
+                        phrase = adjoin(phrase, here, child)
                     else:
                         raise GrammarFormatError(f"unknown op {step.op!r}")
-            except ScriptError:
-                raise
-            except TagError as exc:
-                raise ScriptError(idx, exc) from exc
+                except ScriptError:
+                    raise
+                except TagError as exc:
+                    raise ScriptError(idx, exc) from exc
+        except TagError as exc:
+            return exc
         return phrase
 
-    def _build_member(member: ElementaryTree) -> PhraseTree:
-        # Set members may have their own children, addressed by member id.
-        if member.id in script.instances:
-            return build(member.id)
-        return PhraseTree.from_elementary(member, member.id)
-
-    derived = build(script.root)
+    derived = script._fold(build)
+    if isinstance(derived, TagError):
+        raise derived
     leaves = frontier(derived.root)
     open_leaves = [
         f"{format_address(a)} ({n.kind} {n.label!r})"

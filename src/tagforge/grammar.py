@@ -118,15 +118,6 @@ class Grammar:
     tree_sets: dict[str, TreeSet] = field(default_factory=dict)
     start_symbol: str | None = None
 
-    @property
-    def nonterminals(self) -> frozenset[str]:
-        labels = set()
-        for tree in self.all_trees():
-            for _, node in walk(tree.root):
-                if node.kind in (INTERIOR, SUBSTITUTION, FOOT):
-                    labels.add(node.label)
-        return frozenset(labels)
-
     def all_trees(self) -> list[ElementaryTree]:
         trees = list(self.trees.values())
         for ts in self.tree_sets.values():

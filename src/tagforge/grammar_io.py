@@ -89,24 +89,41 @@ def _unquote(token: str) -> tuple[str, bool]:
 
 
 def _parse_node(stream: _TokenStream) -> TreeNode:
-    kind, value, line = stream.next()
-    if kind == "lparen":
-        label_tok = stream.next("ident")
-        label = label_tok[1]
-        if label.endswith(("!", "*")):
-            raise GrammarFormatError(f"interior label {label!r} may not carry a marker", label_tok[2])
-        children = []
+    """One node and everything below it.  Open interior nodes wait on an
+    explicit stack, so a tree of any depth parses without recursion."""
+    open_: list[tuple[str, int, list[TreeNode]]] = []  # (label, line, children)
+    while True:
+        kind, value, line = stream.next()
+        if kind == "lparen":
+            label_tok = stream.next("ident")
+            label = label_tok[1]
+            if label.endswith(("!", "*")):
+                raise GrammarFormatError(f"interior label {label!r} may not carry a marker", label_tok[2])
+            open_.append((label, line, []))
+        else:
+            node = _parse_leaf(kind, value, line)
+            if not open_:
+                return node
+            open_[-1][2].append(node)
+        # Close every open node whose ')' comes next.
         while True:
+            label, line, children = open_[-1]
             tok = stream.peek()
             if tok is None:
                 raise GrammarFormatError("unclosed '('", line)
-            if tok[0] == "rparen":
-                stream.next()
+            if tok[0] != "rparen":
                 break
-            children.append(_parse_node(stream))
-        if not children:
-            raise GrammarFormatError(f"interior node {label!r} has no children", line)
-        return TreeNode(INTERIOR, label, tuple(children))
+            stream.next()
+            open_.pop()
+            if not children:
+                raise GrammarFormatError(f"interior node {label!r} has no children", line)
+            node = TreeNode(INTERIOR, label, tuple(children))
+            if not open_:
+                return node
+            open_[-1][2].append(node)
+
+
+def _parse_leaf(kind: str, value: str, line: int) -> TreeNode:
     if kind == "string":
         word, is_anchor = _unquote(value)
         if not word:
@@ -194,14 +211,28 @@ def _quote(word: str, is_anchor: bool) -> str:
 
 
 def serialize_node(node: TreeNode) -> str:
-    if node.kind == INTERIOR:
-        inner = " ".join(serialize_node(c) for c in node.children)
-        return f"({node.label} {inner})"
-    if node.kind == SUBSTITUTION:
-        return f"{node.label}!"
-    if node.kind == FOOT:
-        return f"{node.label}*"
-    return _quote(node.label, node.kind == ANCHOR)
+    """The text of ``node`` and everything below it, from an explicit
+    stack of nodes and closing text, so any depth serializes."""
+    parts = []
+    stack: list[TreeNode | str] = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node.kind == INTERIOR:
+            parts.append(f"({node.label} ")
+            stack.append(")")
+            for k, child in enumerate(reversed(node.children)):
+                if k:
+                    stack.append(" ")
+                stack.append(child)
+        elif node.kind == SUBSTITUTION:
+            parts.append(f"{node.label}!")
+        elif node.kind == FOOT:
+            parts.append(f"{node.label}*")
+        else:
+            parts.append(_quote(node.label, node.kind == ANCHOR))
+    return "".join(parts)
 
 
 def serialize_grammar(grammar: Grammar) -> str:

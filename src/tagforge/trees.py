@@ -75,15 +75,23 @@ def node_at(root: TreeNode, address: Address) -> TreeNode:
 
 
 def replace_at(root: TreeNode, address: Address, replacement: TreeNode) -> TreeNode:
-    """Return a copy of ``root`` with the subtree at ``address`` replaced."""
-    if not address:
-        return replacement
-    index = address[0]
-    if not 1 <= index <= len(root.children):
-        raise IllegalSite(f"address component {index} out of bounds")
-    children = list(root.children)
-    children[index - 1] = replace_at(children[index - 1], address[1:], replacement)
-    return TreeNode(root.kind, root.label, tuple(children))
+    """Return a copy of ``root`` with the subtree at ``address`` replaced.
+
+    Only the nodes on the path to ``address`` are copied; every other
+    subtree is shared.  No recursion, so any depth works."""
+    path = []  # (node, child index) from the root down
+    node = root
+    for index in address:
+        if not 1 <= index <= len(node.children):
+            raise IllegalSite(f"address component {index} out of bounds")
+        path.append((node, index))
+        node = node.children[index - 1]
+    for node, index in reversed(path):
+        children = node.children
+        replacement = TreeNode(
+            node.kind, node.label, children[: index - 1] + (replacement,) + children[index:]
+        )
+    return replacement
 
 
 def walk(root: TreeNode, prefix: Address = ()) -> Iterator[tuple[Address, TreeNode]]:

@@ -20,9 +20,11 @@ from tagforge.errors import (
     WrongShape,
 )
 from tagforge.trees import (
+    TreeNode,
     count_nodes,
     format_address,
     is_prefix,
+    node_at,
     parse_address,
     replace_at,
     walk,
@@ -198,6 +200,19 @@ def test_adjoinset_step_matches_adjoin_set(german_mc, sites):
         here = one_by_one.address_of("alpha_inf", original)
         one_by_one = tf.adjoin(one_by_one, here, member)
     assert derived == one_by_one
+
+
+def test_set_members_come_from_the_grammar(german_mc):
+    """A set step adjoins the set's elementary trees, also when another
+    instance of the script carries a member's id as its name."""
+    script = tf.parse_script(
+        FIG15_PREFIX.replace("subst np_gen ->", "subst np_gen as beta_a ->")
+        + "adjoinset sigma_m -> alpha_inf @ 1, 2.2 label S",
+        german_mc,
+    )
+    _, sentence = tf.run_derivation(german_mc, script)
+    _, expected = tf.run_derivation(german_mc, load_script("fig15.drv", german_mc))
+    assert sentence == expected
 
 
 # -- golden derivations ------------------------------------------------
@@ -412,6 +427,47 @@ def test_deep_derivation_compares_and_prints():
             assert text == repr(canonical)
         finally:
             sys.setrecursionlimit(limit)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_script_replays_without_recursion(english):
+    """Replay folds the derivation tree with an explicit stack, and
+    ``replace_at`` copies the path to a site in a loop, so a 300-level
+    adjunction chain replays with only 100 frames to spare."""
+    depth = 300
+    lines = [
+        "use alpha1",
+        "subst alpha2 -> alpha1 @ 1 label 1",
+        "subst alpha3 -> alpha1 @ 2.2 label 2",
+        "adjoin beta1 as b1 -> alpha1 @ 2 label ATTR",
+    ]
+    lines += [f"adjoin beta1 as b{i} -> b{i - 1} @ 0 label ATTR" for i in range(2, depth + 1)]
+    script = tf.parse_script("\n".join(lines), english)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        _, sentence = tf.run_derivation(english, script)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sentence == " ".join(["John"] + ["really"] * depth + ["likes", "Lyn"])
+
+
+def test_replace_at_copies_only_the_path():
+    leaf = TreeNode("anchor", "x")
+    node = TreeNode("interior", "A", (leaf, TreeNode("anchor", "y")))
+    for _ in range(3_000):
+        node = TreeNode("interior", "A", (node, leaf))
+    address = (1,) * 3_000 + (2,)
+    out = replace_at(node, address, leaf)
+    assert node_at(out, address) is leaf
+    assert node_at(out, (2,)) is leaf and node_at(out, (1,) * 5 + (2,)) is leaf
+    assert node_at(node, address).label == "y"  # the original is untouched
 
 
 def test_canonical_refuses_a_cycle():

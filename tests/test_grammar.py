@@ -194,6 +194,24 @@ def test_start_symbol_inferred():
     assert g2.start_symbol == "S"
 
 
+def test_deep_grammar_text_round_trip(tmp_path, capsys):
+    """Reading and writing grammar text use explicit stacks, so a
+    3,000-deep tree parses, serializes and parses again to the same text,
+    and ``tagforge validate`` accepts the file.  Text is compared, not
+    trees: ``TreeNode.__eq__`` recurses."""
+    from tagforge.cli import main
+
+    depth = 3_000
+    text = "start S\ntree deep initial " + "(S " * depth + '"x"@' + ")" * depth + "\n"
+    once = tf.serialize_grammar(tf.parse_grammar(text))
+    assert once == text
+    assert tf.serialize_grammar(tf.parse_grammar(once)) == text
+    path = tmp_path / "deep.tag"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "-g", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("deep: ok\n")
+
+
 def test_walk_deep_chain_without_recursion():
     from tagforge.trees import TreeNode, walk
 

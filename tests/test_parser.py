@@ -373,7 +373,7 @@ def test_parse_cap_returns_a_prefix_of_all_derivations():
             assert tf.run_derivation(grammar, derivation)[1] == " ".join(words)
         full = [d.canonical() for d in derivations]
         assert len(full) == CATALAN[k + 1]
-        for cap in (1, 7, 50, 500):
+        for cap in (1, 2, 3, 7, 13, 50, 131, 500):
             head = [d.canonical() for d in tf.parse(grammar, words, cap=cap).derivations]
             assert len(head) == min(cap, len(full))
             assert head == full[:cap]
