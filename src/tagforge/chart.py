@@ -30,14 +30,29 @@ The chart derives only items an inference rule can use:
   the item count falls.  On ``John really^k likes Lyn`` the chart keeps
   O(k) items instead of O(k^2).
 
+Each grammar is compiled once into numbered chart states, in the same
+per-grammar table as its word contexts: one T state per node (the node
+finished, adjunction included), one B state per interior node (its
+children concatenated, before adjunction) and one P state per interior
+node and k (its first k children concatenated).  An item is the int
+tuple ``(state, i, j, p, q)``, where (p, q) is the span below the foot or
+(-1, -1), and fill reads each state's parent, next child, label and word
+contexts from per-state lists instead of building and hashing addresses.
+This is still the item-based CKY of Vijay-Shanker & Joshi 1985; only the
+encoding of the items changed.
+
 Derivations are read off the items' backpointers (the item and agenda
 scheme of Shieber, Schabes & Pereira 1995).  A backpointer list is final
 once fill ends, so ``parse`` sorts each list once, after fill, into the
-canonical order; ``recognize`` never sorts.  Each item and backpointer is
-stored once, so ``parse`` reads each derivation off once and returns
-the first ``cap``, with no dedupe and no replay: each backpointer is a
-proof step.  That every derivation replays to its sentence is a property
-checked in ``tests/test_parser.py``.
+canonical order; ``recognize`` never sorts.  Backpointers of one kind
+hold items of one kind at each position, and states are numbered in
+sorted (tree id, address[, k]) order within each kind, so sorting int
+items gives the order that sorting by tree id, address and span gives.
+Each item and backpointer is stored once, so ``parse`` reads each
+derivation off once and returns the first ``cap``, with no dedupe and no
+replay: each backpointer is a proof step.  That every derivation
+replays to its sentence is a property checked in
+``tests/test_parser.py``.
 
 ``parse`` refuses a grammar that has a tree with no word.  A tree with an
 anchor or terminal strictly widens the span it is substituted or adjoined
@@ -85,10 +100,6 @@ class UnparsedSets(UserWarning):
 
 NOFOOT = (-1, -1)
 
-# Item tags: T = node finished (adjunction included), B = children
-# concatenated (before adjunction), P = first k children concatenated.
-_T, _B, _P = "T", "B", "P"
-
 
 @dataclass
 class ParseResult:
@@ -97,7 +108,7 @@ class ParseResult:
     stats: dict = field(default_factory=dict)
 
 
-# -- word contexts ----------------------------------------------------
+# -- chart states and word contexts ------------------------------------
 
 # Bit numbers of start and end of sentence; the grammar's words follow.
 _BOS, _EOS = 0, 1
@@ -118,17 +129,41 @@ def _join(table: dict, label: str, pair: tuple[int, int]) -> bool:
     return True
 
 
-class _WordContexts:
-    """The words that can stand just left and just right of each chart
-    node's span, as bitmasks over the grammar's vocabulary plus BOS and
-    EOS, from a fixpoint over the grammar's trees.
+class _States:
+    """The grammar compiled into numbered chart states, with the word
+    contexts of each.
 
-    ``masks`` maps an item's node key (``item[:-4]``: tag, tree id,
-    address, and for a P item its child count) to ``(left, right)``.  The
-    sets over-approximate: every item that some complete derivation uses
-    has its neighbours in them.  ``key`` identifies the grammar it was
-    built from (start symbol, and tree ids and tree objects, compared by
-    identity), so a changed grammar gets a new table.
+    There is one T state per node (tree id, address), one B state per
+    interior node and one P state per (interior node, children done k),
+    k = 1..n: T is the node finished (adjunction included), B its children
+    concatenated (before adjunction), P its first k children concatenated.
+    T states are numbered first, then B, then P, each block in sorted
+    (tree id, address[, k]) order, so a chart item is the int tuple
+    ``(state, i, j, p, q)`` and items of one kind compare as the
+    ``(tree id, address[, k], i, j, p, q)`` they stand for.  Per-state
+    lists give what fill and extraction need:
+
+    - ``tids``, ``addrs``, ``labels``, ``initial``: the state's tree id,
+      address, node label, and whether its tree is initial;
+    - ``masks``: ``(left, right)``, the words that can stand just left and
+      just right of the state's span, as bitmasks over the grammar's
+      vocabulary plus BOS and EOS, from a fixpoint over the grammar's
+      trees.  The sets over-approximate: every item that some complete
+      derivation uses has its neighbours in them;
+    - of a T state: ``child_no``, the node's child index (0 at a root),
+      and ``parent_part``, the P state it completes, (parent, child_no);
+    - of a P state: ``next_child``, the T state of child k + 1, or -1 when
+      all children are done and ``bottom_of`` gives the node's B state;
+    - of a B state: ``top_of``, the T state of the same node;
+    - ``arcs``: the arc label a T state puts on a derivation step: at a
+      substitution leaf its actant number, at an auxiliary root "S" or
+      "ATTR".
+
+    ``leaves`` holds, per tree in grammar order, its word leaves, its
+    substitution leaves and its feet as ``(label, T state)`` lists, so a
+    parse only applies the lexical filter.  ``key`` identifies the
+    grammar it was built from (start symbol, and tree ids and tree
+    objects, compared by identity), so a changed grammar gets a new table.
     """
 
     def __init__(self, grammar: Grammar):
@@ -137,7 +172,8 @@ class _WordContexts:
         for tree in grammar.trees.values():
             for word in tree.words:
                 self.bits.setdefault(word, len(self.bits) + 2)
-        # Per tree, its nodes in preorder as (address, node, child addresses).
+        # Per tree, its nodes in preorder (which is sorted address order)
+        # as (address, node, child addresses).
         shapes = {
             tid: [(addr, node, [addr + (k,) for k in range(1, len(node.children) + 1)])
                   for addr, node in tree.nodes.items()]
@@ -145,16 +181,66 @@ class _WordContexts:
         }
         edges = _edges(grammar, shapes, self.bits)
         top, bottom = _contexts(grammar, shapes, edges)
-        masks: dict[tuple, tuple[int, int]] = {}
-        for tid, nodes in shapes.items():
-            for addr, _, kids in nodes:
-                masks[_T, tid, addr] = top[tid, addr]
-                if kids:
-                    left, right = masks[_B, tid, addr] = bottom[tid, addr]
-                    for k, kid in enumerate(kids[1:], start=1):
-                        masks[_P, tid, addr, k] = (left, edges[tid, kid][0])
-                    masks[_P, tid, addr, len(kids)] = (left, right)
-        self.masks = masks
+        # Every node, interior node and (interior node, k), in state order.
+        nodes = [
+            (tid, addr, node, kids) for tid in sorted(shapes) for addr, node, kids in shapes[tid]
+        ]
+        interior = [entry for entry in nodes if entry[3]]
+        parts = [(entry, k) for entry in interior for k in range(1, len(entry[3]) + 1)]
+        self.first_bottom = len(nodes)
+        self.first_part = len(nodes) + len(interior)
+        tops = {(tid, addr): s for s, (tid, addr, _, _) in enumerate(nodes)}
+        bottoms = {
+            (tid, addr): b for b, (tid, addr, _, _) in enumerate(interior, self.first_bottom)
+        }
+        part_states = {
+            (tid, addr, k): p for p, ((tid, addr, _, _), k) in enumerate(parts, self.first_part)
+        }
+        owners = nodes + interior + [entry for entry, _ in parts]
+        self.tids = [tid for tid, _, _, _ in owners]
+        self.addrs: list[Address] = [addr for _, addr, _, _ in owners]
+        self.labels = [node.label for _, _, node, _ in owners]
+        self.initial = [grammar.trees[tid].shape == INITIAL for tid, _, _, _ in owners]
+        size = len(owners)
+        self.masks: list[tuple[int, int]] = [_EMPTY] * size
+        self.child_no = [0] * size
+        self.parent_part = [-1] * size
+        self.top_of = [-1] * size
+        self.next_child = [-1] * size
+        self.bottom_of = [-1] * size
+        self.arcs: list[str | None] = [None] * size
+        for s, (tid, addr, _, _) in enumerate(nodes):
+            self.masks[s] = top[tid, addr]
+            if addr:
+                self.child_no[s] = addr[-1]
+                self.parent_part[s] = part_states[tid, addr[:-1], addr[-1]]
+        for b, (tid, addr, _, _) in enumerate(interior, self.first_bottom):
+            self.masks[b] = bottom[tid, addr]
+            self.top_of[b] = tops[tid, addr]
+        for p, ((tid, addr, _, kids), k) in enumerate(parts, self.first_part):
+            left, right = bottom[tid, addr]
+            if k < len(kids):
+                self.next_child[p] = tops[tid, kids[k]]
+                self.masks[p] = (left, edges[tid, kids[k]][0])
+            else:
+                self.bottom_of[p] = bottoms[tid, addr]
+                self.masks[p] = (left, right)
+        self.leaves: list[tuple[list, list, list]] = []
+        for tid, tree in grammar.trees.items():
+            if tree.shape != INITIAL:
+                root = "S" if tree.root.label == grammar.start_symbol else "ATTR"
+                self.arcs[tops[tid, ()]] = root
+            words, substs, feet = [], [], []
+            for addr, node in tree.nodes.items():
+                leaf = (node.label, tops[tid, addr])
+                if node.kind in WORD_KINDS:
+                    words.append(leaf)
+                elif node.kind == SUBSTITUTION:
+                    self.arcs[leaf[1]] = str(len(substs) + 1)
+                    substs.append(leaf)
+                elif node.kind == FOOT:
+                    feet.append(leaf)
+            self.leaves.append((words, substs, feet))
 
     def fresh(self, grammar: Grammar) -> bool:
         start, items = self.key
@@ -240,12 +326,12 @@ def _contexts(grammar: Grammar, shapes: dict, edges: dict) -> tuple[dict, dict]:
     return top, bottom
 
 
-def _word_contexts(grammar: Grammar) -> _WordContexts:
-    """The grammar's word-context table, built on first use and kept on
-    the grammar until its start symbol or any of its trees changes."""
-    table = getattr(grammar, "_word_contexts", None)
+def _chart_states(grammar: Grammar) -> _States:
+    """The grammar's state table, built on first use and kept on the
+    grammar until its start symbol or any of its trees changes."""
+    table = getattr(grammar, "_chart_states", None)
     if table is None or not table.fresh(grammar):
-        table = grammar._word_contexts = _WordContexts(grammar)
+        table = grammar._chart_states = _States(grammar)
     return table
 
 
@@ -256,30 +342,34 @@ class _Chart:
         self.positions: dict[str, list[int]] = {}
         for i, word in enumerate(words):
             self.positions.setdefault(word, []).append(i)
+        states = self.states = _chart_states(grammar)
         # Word-context filter: the bit number of the word just before
         # and just after each position; a word the grammar lacks gets a
         # bit no mask has.
-        contexts = _word_contexts(grammar)
-        self.masks = contexts.masks
-        numbers = [contexts.bits.get(word, len(contexts.bits) + 2) for word in words]
+        self.masks = states.masks
+        numbers = [states.bits.get(word, len(states.bits) + 2) for word in words]
         self.before = [_BOS] + numbers
         self.after = numbers + [_EOS]
-        self.trees: dict[str, ElementaryTree] = {}
-        # Substitution leaves and foot nodes of the kept trees, by label.
-        self.subst_leaves: dict[str, list[tuple[str, Address]]] = {}
-        self.feet: dict[str, list[tuple[str, Address]]] = {}
-        for tid, tree in grammar.trees.items():
-            if any(word not in self.positions for word in tree.words):
+        # Lexical filter: the word leaves of the kept trees, and their
+        # substitution leaves and feet by label.
+        self.kept = 0
+        self.word_leaves: list[tuple[str, int]] = []
+        self.subst_leaves: dict[str, list[int]] = {}
+        self.feet: dict[str, list[int]] = {}
+        for word_leaves, substs, feet in states.leaves:
+            if any(word not in self.positions for word, _ in word_leaves):
                 continue
-            self.trees[tid] = tree
-            for addr, node in tree.nodes.items():
-                if node.kind == SUBSTITUTION:
-                    self.subst_leaves.setdefault(node.label, []).append((tid, addr))
-                elif node.kind == FOOT:
-                    self.feet.setdefault(node.label, []).append((tid, addr))
+            self.kept += 1
+            self.word_leaves += word_leaves
+            for label, s in substs:
+                self.subst_leaves.setdefault(label, []).append(s)
+            for label, s in feet:
+                self.feet.setdefault(label, []).append(s)
         self.backpointers: dict[tuple, list[tuple]] = {}
         self.agenda: list[tuple] = []
-        # Combination indexes.
+        # Combination indexes.  Tops and parts meet on (T state of a
+        # child k >= 2, position): tops by where they start, parts by
+        # where they end and which child they wait for.
         self.tops_by_start: dict[tuple, list[tuple]] = {}
         self.parts_by_end: dict[tuple, list[tuple]] = {}
         self.bots_by_span: dict[tuple, list[tuple]] = {}
@@ -288,12 +378,13 @@ class _Chart:
 
     def run(self):
         self._axioms()
+        bottoms, parts = self.states.first_bottom, self.states.first_part
         while self.agenda:
             item = self.agenda.pop()
-            kind = item[0]
-            if kind == _T:
+            s = item[0]
+            if s < bottoms:
                 self._process_top(item)
-            elif kind == _P:
+            elif s >= parts:
                 self._process_part(item)
             else:
                 self._process_bottom(item)
@@ -302,87 +393,85 @@ class _Chart:
     # -- item admission ------------------------------------------------
 
     def _add(self, item: tuple, bp: tuple):
-        # No rule makes the same backpointer twice, so none is looked for.
-        bps = self.backpointers.get(item)
-        if bps is not None:
-            bps.append(bp)
-            return
-        left, right = self.masks[item[:-4]]
-        if left >> self.before[item[-4]] & 1 and right >> self.after[item[-3]] & 1:
-            self.backpointers[item] = [bp]
-            self.agenda.append(item)
+        # The word-context filter first: it refuses more items than the
+        # chart already holds.  No rule makes the same backpointer twice,
+        # so none is looked for.
+        left, right = self.masks[item[0]]
+        if left >> self.before[item[1]] & 1 and right >> self.after[item[2]] & 1:
+            bps = self.backpointers.get(item)
+            if bps is None:
+                self.backpointers[item] = [bp]
+                self.agenda.append(item)
+            else:
+                bps.append(bp)
 
     def _axioms(self):
-        for tid, tree in self.trees.items():
-            for addr, node in tree.nodes.items():
-                if node.kind in WORD_KINDS:
-                    for i in self.positions[node.label]:
-                        self._add((_T, tid, addr, i, i + 1, *NOFOOT), ("lex", i))
+        for word, s in self.word_leaves:
+            for i in self.positions[word]:
+                self._add((s, i, i + 1, *NOFOOT), ("lex", i))
 
     # -- inference -----------------------------------------------------
 
     def _process_top(self, item: tuple):
-        _, tid, addr, i, j, p, q = item
-        if addr:
-            parent, k = addr[:-1], addr[-1]
-            if k == 1:
-                self._add((_P, tid, parent, 1, i, j, p, q), ("first", item))
-            else:
-                for part in self.parts_by_end.get((tid, parent, k - 1, i), []):
-                    self._combine(part, item)
-            self.tops_by_start.setdefault((tid, addr, i), []).append(item)
+        s, i, j, p, q = item
+        k = self.states.child_no[s]
+        if k == 1:
+            self._add((self.states.parent_part[s], i, j, p, q), ("first", item))
+        elif k:
+            for part in self.parts_by_end.get((s, i), ()):
+                self._combine(part, item)
+            # Only a child k >= 2 is looked up here: a first child starts
+            # its parent's P items and never extends one.
+            self.tops_by_start.setdefault((s, i), []).append(item)
         else:
             self._process_complete(item)
 
     def _combine(self, part: tuple, top: tuple):
-        _, tid, parent, k, i, _, p1, q1 = part
-        _, _, child_addr, _, j2, p2, q2 = top
-        if (p1, q1) != NOFOOT and (p2, q2) != NOFOOT:
+        _, i, _, p1, q1 = part
+        s2, _, j2, p2, q2 = top
+        if p1 >= 0 and p2 >= 0:
             return  # one foot per elementary tree
-        foot = (p1, q1) if (p1, q1) != NOFOOT else (p2, q2)
-        self._add(
-            (_P, tid, parent, child_addr[-1], i, j2, *foot), ("concat", part, top)
-        )
+        foot = (p1, q1) if p1 >= 0 else (p2, q2)
+        self._add((self.states.parent_part[s2], i, j2, *foot), ("concat", part, top))
 
     def _process_part(self, item: tuple):
-        _, tid, addr, k, i, j, p, q = item
-        node = self.trees[tid].nodes[addr]
-        if k == len(node.children):
-            self._add((_B, tid, addr, i, j, p, q), ("children", item))
+        s, i, j, p, q = item
+        child = self.states.next_child[s]
+        if child < 0:
+            self._add((self.states.bottom_of[s], i, j, p, q), ("children", item))
         else:
-            for top in self.tops_by_start.get((tid, addr + (k + 1,), j), []):
+            for top in self.tops_by_start.get((child, j), ()):
                 self._combine(item, top)
-            self.parts_by_end.setdefault((tid, addr, k, j), []).append(item)
+            self.parts_by_end.setdefault((child, j), []).append(item)
 
     def _process_bottom(self, item: tuple):
-        _, tid, addr, i, j, p, q = item
-        self._add((_T, tid, addr, i, j, p, q), ("noadj", item))
-        label = self.trees[tid].nodes[addr].label
+        s, i, j, p, q = item
+        self._add((self.states.top_of[s], i, j, p, q), ("noadj", item))
+        label = self.states.labels[s]
         bots = self.bots_by_span.get((label, i, j))
         if bots is None:  # the span's foot items, once per label
             bots = self.bots_by_span[label, i, j] = []
-            for foot_tid, foot_addr in self.feet.get(label, ()):
-                self._add((_T, foot_tid, foot_addr, i, j, i, j), ("foot",))
-        for aux in self.aux_by_foot.get((label, i, j), []):
+            for foot in self.feet.get(label, ()):
+                self._add((foot, i, j, i, j), ("foot",))
+        for aux in self.aux_by_foot.get((label, i, j), ()):
             self._adjoin(item, aux)
         bots.append(item)
 
     def _adjoin(self, bottom: tuple, aux_complete: tuple):
-        _, tid, addr, _, _, p, q = bottom
-        _, _, _, ai, aj, _, _ = aux_complete
-        self._add((_T, tid, addr, ai, aj, p, q), ("adjoin", bottom, aux_complete))
+        s, _, _, p, q = bottom
+        _, ai, aj, _, _ = aux_complete
+        self._add((self.states.top_of[s], ai, aj, p, q), ("adjoin", bottom, aux_complete))
 
     def _process_complete(self, item: tuple):
-        _, tid, _, i, j, p, q = item
-        tree = self.trees[tid]
-        label = tree.root.label
-        if tree.shape == INITIAL:
-            for tid2, addr2 in self.subst_leaves.get(label, ()):
-                self._add((_T, tid2, addr2, i, j, *NOFOOT), ("subst", item))
+        s, i, j, p, q = item
+        label = self.states.labels[s]
+        if self.states.initial[s]:
+            for leaf in self.subst_leaves.get(label, ()):
+                self._add((leaf, i, j, *NOFOOT), ("subst", item))
             if label == self.start and i == 0 and j == self.n:
                 self.goals.append(item)
         else:
-            for bottom in self.bots_by_span.get((label, p, q), []):
+            for bottom in self.bots_by_span.get((label, p, q), ()):
                 self._adjoin(bottom, item)
             self.aux_by_foot.setdefault((label, p, q), []).append(item)
 
@@ -406,9 +495,8 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
     ``[item, next backpointer, derivations so far]`` drives the pass: a
     child still to build is pushed above the frame that needs it and is
     finished before that frame resumes, so nothing recurses.  An op is
-    ``(op, site, arc label, child tree id, child ops)``; each label is
-    resolved once per (tree, site) and cached, so building a derivation
-    needs no grammar lookups.
+    ``(op, site, arc label, child tree id, child ops)``, read off the
+    state table, so building a derivation needs no grammar lookups.
 
     The chart must be acyclic (``parse`` checks that the grammar has no
     tree without a word), so no item is needed while its own frame is
@@ -418,21 +506,8 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
     backpointers = chart.backpointers
     lists: dict[tuple, list[tuple]] = {}
     leaf = [()]  # the one derivation, with no ops, of a word or foot item
-    labels: dict[tuple, str] = {}
+    states = chart.states
     stack: list[list] = []
-
-    def label(tid: str, site: Address | None) -> str:
-        """The arc label of substituting at ``site`` of tree ``tid`` (its
-        actant number), or of adjoining tree ``tid`` (site None)."""
-        found = labels.get((tid, site))
-        if found is None:
-            tree = chart.trees[tid]
-            if site is not None:
-                found = str(tree.substitution_addresses().index(site) + 1)
-            else:
-                found = "S" if tree.root.label == chart.start else "ATTR"
-            labels[tid, site] = found
-        return found
 
     def reach(item: tuple) -> list[tuple]:
         """The list of ``item``, pushing a frame to build it if it is new.
@@ -480,18 +555,16 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
                 kind = bp[0]
                 room = cap - len(vals)
                 if kind == "subst":
-                    _, tid, site = item[:3]
-                    arc = label(tid, site)
-                    child = bp[1][1]
+                    s = item[0]
+                    site, arc, child = states.addrs[s], states.arcs[s], states.tids[bp[1][0]]
                     vals += [(("substitute", site, arc, child, ops),) for ops in left[:room]]
                     continue
                 if len(bp) == 2:
                     vals += left[:room]
                     continue
                 if kind == "adjoin":  # the aux tree's derivations go on the right
-                    site = item[2]
-                    child = bp[2][1]
-                    arc = label(child, None)
+                    aux = bp[2][0]
+                    site, arc, child = states.addrs[item[0]], states.arcs[aux], states.tids[aux]
                     right = [(("adjoin", site, arc, child, ops),) for ops in right[:room]]
                 # Left-major product, row by row, cut at ``cap``.
                 for below in left:
@@ -502,7 +575,7 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
                 stack.pop()
                 continue
             frame[1] = b
-        found += [_derivation_tree(goal[1], ops) for ops in first[:want]]
+        found += [_derivation_tree(states.tids[goal[0]], ops) for ops in first[:want]]
     return found
 
 
@@ -590,7 +663,7 @@ def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
         derivations = _first_derivations(chart, sorted(chart.goals), cap)
     stats = {
         "items": len(chart.backpointers),
-        "trees": len(chart.trees),
+        "trees": chart.kept,
         "wall_time_s": time.perf_counter() - started,
         "words": len(words),
     }

@@ -44,6 +44,32 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.kind in LEAF_KINDS
 
+    # Equality and hash walk the tree with explicit stacks, so trees of
+    # any depth compare and hash (the generated ones recurse per level).
+
+    def __eq__(self, other):
+        if not isinstance(other, TreeNode):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:  # shared subtrees, as replace_at leaves them
+                continue
+            if a.kind != b.kind or a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack += zip(a.children, b.children)
+        return True
+
+    def __hash__(self):
+        # A tree is fixed by its nodes' (kind, label, arity) in preorder.
+        shape = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            shape.append((node.kind, node.label, len(node.children)))
+            stack += reversed(node.children)
+        return hash(tuple(shape))
+
 
 def interior(label: str, *children: TreeNode) -> TreeNode:
     return TreeNode(INTERIOR, label, tuple(children))

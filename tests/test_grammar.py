@@ -197,8 +197,7 @@ def test_start_symbol_inferred():
 def test_deep_grammar_text_round_trip(tmp_path, capsys):
     """Reading and writing grammar text use explicit stacks, so a
     3,000-deep tree parses, serializes and parses again to the same text,
-    and ``tagforge validate`` accepts the file.  Text is compared, not
-    trees: ``TreeNode.__eq__`` recurses."""
+    and ``tagforge validate`` accepts the file."""
     from tagforge.cli import main
 
     depth = 3_000
@@ -210,6 +209,19 @@ def test_deep_grammar_text_round_trip(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["validate", "-g", str(path)]) == 0
     assert capsys.readouterr().out.startswith("deep: ok\n")
+
+
+def test_deep_trees_compare_and_hash():
+    """``TreeNode`` equality and hash use explicit stacks: two reads of a
+    3,000-deep grammar tree compare equal and hash alike, and a tree that
+    differs only at the bottom compares unequal."""
+    depth = 3_000
+    text = "start S\ntree deep initial " + "(S " * depth + '"x"@' + ")" * depth + "\n"
+    first, second = (tf.parse_grammar(text).trees["deep"].root for _ in range(2))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    other = tf.parse_grammar(text.replace('"x"@', '"y"@')).trees["deep"].root
+    assert first != other and other != first
 
 
 def test_walk_deep_chain_without_recursion():

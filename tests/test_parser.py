@@ -14,6 +14,7 @@ from tagforge.errors import RefuseUnbounded
 from tagforge.exports import derivation_from_json, derivation_to_json
 
 from conftest import load_script
+from test_random_grammars import GRAMMARS, random_grammar
 
 GOLDEN = Path(__file__).parent / "data" / "derivations.json"
 DIGESTS = Path(__file__).parent / "data" / "derivation_digests.json"
@@ -300,6 +301,63 @@ def test_word_contexts_follow_grammar_changes():
         edit()
         assert tf.recognize(grammar, words), sentence
         assert len(tf.parse(grammar, words).derivations) == 1, sentence
+
+
+def _state_keys(grammar):
+    """Each state kind's keys in state order, checked against the
+    grammar's nodes: T (tree id, address), B the same for interior nodes,
+    P (tree id, address, k), and the links between them."""
+    states = chart._chart_states(grammar)
+    nodes = {
+        (tid, addr): node for tid, tree in grammar.trees.items() for addr, node in tree.nodes.items()
+    }
+    t_keys = [(states.tids[s], states.addrs[s]) for s in range(states.first_bottom)]
+    top = {key: s for s, key in enumerate(t_keys)}
+    assert top.keys() == nodes.keys()
+    bottoms = range(states.first_bottom, states.first_part)
+    parts = range(states.first_part, len(states.tids))
+    b_keys = [(states.tids[b], states.addrs[b]) for b in bottoms]
+    assert set(b_keys) == {key for key, node in nodes.items() if node.children}
+    p_keys = []
+    for p in parts:
+        key = (states.tids[p], states.addrs[p])
+        if states.next_child[p] < 0:
+            k = len(nodes[key].children)
+            assert (states.tids[states.bottom_of[p]], states.addrs[states.bottom_of[p]]) == key
+        else:
+            k = states.addrs[states.next_child[p]][-1] - 1
+            assert states.next_child[p] == top[key[0], key[1] + (k + 1,)]
+        p_keys.append(key + (k,))
+    widths = {key: len(nodes[key].children) for key in b_keys}
+    assert set(p_keys) == {key + (k,) for key, width in widths.items() for k in range(1, width + 1)}
+    for (tid, addr), s in top.items():
+        if addr:
+            p = states.parent_part[s]
+            assert p_keys[p - states.first_part] == (tid, addr[:-1], addr[-1])
+    for b in bottoms:
+        assert top[states.tids[b], states.addrs[b]] == states.top_of[b]
+    return t_keys, b_keys, p_keys
+
+
+def test_state_numbers_sort_like_their_keys(english, english_wh, dutch, german_mc):
+    """Within each kind, state numbers sort like their (tree id, address,
+    k) keys, so int items compare as the items they stand for and sorted
+    backpointers keep the canonical derivation order."""
+    grammars = [english, english_wh, dutch, german_mc]
+    seeds = random.Random(15).sample(range(GRAMMARS), 40)
+    grammars += [tf.parse_grammar(random_grammar(seed)) for seed in seeds]
+    for grammar in grammars:
+        for keys in _state_keys(grammar):
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_item_counts_are_pinned(english):
+    """The chart builds exactly these items; a change of item encoding or
+    filter order leaves the counts as they are."""
+    for k, items in ((96, 598), (128, 790), (256, 1_558), (600, 3_622)):
+        assert tf.parse(english, _adverbs(k), cap=1).stats["items"] == items, k
+    words = "John saw Lyn".split() + ["with", "telescope"] * 8
+    assert tf.parse(tf.parse_grammar(PP_GRAMMAR), words, cap=1).stats["items"] == 1_010
 
 
 def test_recognize_long_adverb_stack(english):
