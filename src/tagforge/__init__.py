@@ -31,6 +31,7 @@ _MODULES = {
         "run_derivation",
         "substitute",
     ),
+    "errors": ("TagError",),
     "grammar": (
         "CfgRule",
         "ElementaryTree",

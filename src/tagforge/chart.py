@@ -32,10 +32,13 @@ The chart derives only items an inference rule can use:
 
 Each grammar is compiled once into numbered chart states, in the same
 per-grammar table as its word contexts: one T state per node (the node
-finished, adjunction included), one B state per interior node (its
-children concatenated, before adjunction) and one P state per interior
-node and k (its first k children concatenated).  An item is the int
-tuple ``(state, i, j, p, q)``, where (p, q) is the span below the foot or
+finished, adjunction included) and one P state per interior node and
+k >= 2 (its first k children concatenated).  A first child's T item also
+stands for its parent's first child done, and the item that has all of a
+node's children (its P item for k = n, or the T item of an only child)
+for the node before adjunction, its bottom item, so the chart builds no
+item that only renames another.  An item is the int tuple
+``(state, i, j, p, q)``, where (p, q) is the span below the foot or
 (-1, -1), and fill reads each state's parent, next child, label and word
 contexts from per-state lists instead of building and hashing addresses.
 This is still the item-based CKY of Vijay-Shanker & Joshi 1985; only the
@@ -44,14 +47,14 @@ encoding of the items changed.
 Derivations are read off the items' backpointers (the item and agenda
 scheme of Shieber, Schabes & Pereira 1995).  A backpointer list is final
 once fill ends, so ``parse`` sorts each list once, after fill, into the
-canonical order; ``recognize`` never sorts.  Backpointers of one kind
-hold items of one kind at each position, and states are numbered in
-sorted (tree id, address[, k]) order within each kind, so sorting int
-items gives the order that sorting by tree id, address and span gives.
-Each item and backpointer is stored once, so ``parse`` reads each
-derivation off once and returns the first ``cap``, with no dedupe and no
-replay: each backpointer is a proof step.  That every derivation
-replays to its sentence is a property checked in
+canonical order; ``recognize`` never sorts.  In one item's list, the
+backpointers of one kind hold items of one kind at each position, and
+states are numbered in sorted (tree id, address[, k]) order within each
+kind, so sorting int items gives the order that sorting by tree id,
+address and span gives.  Each item and backpointer is stored once, so
+``parse`` reads each derivation off once and returns the first ``cap``,
+with no dedupe and no replay: each backpointer is a proof step.  That
+every derivation replays to its sentence is a property checked in
 ``tests/test_parser.py``.
 
 ``parse`` refuses a grammar that has a tree with no word.  A tree with an
@@ -133,11 +136,11 @@ class _States:
     """The grammar compiled into numbered chart states, with the word
     contexts of each.
 
-    There is one T state per node (tree id, address), one B state per
-    interior node and one P state per (interior node, children done k),
-    k = 1..n: T is the node finished (adjunction included), B its children
-    concatenated (before adjunction), P its first k children concatenated.
-    T states are numbered first, then B, then P, each block in sorted
+    There is one T state per node (tree id, address), the node finished
+    (adjunction included), and one P state per (interior node, children
+    done k), k = 2..n, its first k children concatenated; a first child's
+    T state doubles as its parent's state for k = 1 (see the module
+    docstring).  T states are numbered first, then P, each block in sorted
     (tree id, address[, k]) order, so a chart item is the int tuple
     ``(state, i, j, p, q)`` and items of one kind compare as the
     ``(tree id, address[, k], i, j, p, q)`` they stand for.  Per-state
@@ -151,10 +154,11 @@ class _States:
       trees.  The sets over-approximate: every item that some complete
       derivation uses has its neighbours in them;
     - of a T state: ``child_no``, the node's child index (0 at a root),
-      and ``parent_part``, the P state it completes, (parent, child_no);
-    - of a P state: ``next_child``, the T state of child k + 1, or -1 when
-      all children are done and ``bottom_of`` gives the node's B state;
-    - of a B state: ``top_of``, the T state of the same node;
+      and for a child k >= 2 ``parent_part``, the P state it completes,
+      (parent, k);
+    - of a P state or a first child's T state, which has the node's first
+      k children: ``next_child``, the T state of child k + 1, or, when
+      those are all its children, -1 and ``top_of``, the node's T state;
     - ``arcs``: the arc label a T state puts on a derivation step: at a
       substitution leaf its actant number, at an auxiliary root "S" or
       "ATTR".
@@ -181,50 +185,41 @@ class _States:
         }
         edges = _edges(grammar, shapes, self.bits)
         top, bottom = _contexts(grammar, shapes, edges)
-        # Every node, interior node and (interior node, k), in state order.
+        # Every node, then every (interior node, k >= 2), in state order.
         nodes = [
             (tid, addr, node, kids) for tid in sorted(shapes) for addr, node, kids in shapes[tid]
         ]
-        interior = [entry for entry in nodes if entry[3]]
-        parts = [(entry, k) for entry in interior for k in range(1, len(entry[3]) + 1)]
-        self.first_bottom = len(nodes)
-        self.first_part = len(nodes) + len(interior)
+        self.first_part = len(nodes)
         tops = {(tid, addr): s for s, (tid, addr, _, _) in enumerate(nodes)}
-        bottoms = {
-            (tid, addr): b for b, (tid, addr, _, _) in enumerate(interior, self.first_bottom)
-        }
-        part_states = {
-            (tid, addr, k): p for p, ((tid, addr, _, _), k) in enumerate(parts, self.first_part)
-        }
-        owners = nodes + interior + [entry for entry, _ in parts]
+        owners = nodes + [entry for entry in nodes for _ in entry[3][1:]]
         self.tids = [tid for tid, _, _, _ in owners]
         self.addrs: list[Address] = [addr for _, addr, _, _ in owners]
         self.labels = [node.label for _, _, node, _ in owners]
         self.initial = [grammar.trees[tid].shape == INITIAL for tid, _, _, _ in owners]
         size = len(owners)
-        self.masks: list[tuple[int, int]] = [_EMPTY] * size
+        self.masks: list[tuple[int, int]] = [top[tid, addr] for tid, addr, _, _ in nodes]
+        self.masks += [_EMPTY] * (size - len(nodes))
         self.child_no = [0] * size
         self.parent_part = [-1] * size
         self.top_of = [-1] * size
         self.next_child = [-1] * size
-        self.bottom_of = [-1] * size
         self.arcs: list[str | None] = [None] * size
-        for s, (tid, addr, _, _) in enumerate(nodes):
-            self.masks[s] = top[tid, addr]
-            if addr:
-                self.child_no[s] = addr[-1]
-                self.parent_part[s] = part_states[tid, addr[:-1], addr[-1]]
-        for b, (tid, addr, _, _) in enumerate(interior, self.first_bottom):
-            self.masks[b] = bottom[tid, addr]
-            self.top_of[b] = tops[tid, addr]
-        for p, ((tid, addr, _, kids), k) in enumerate(parts, self.first_part):
-            left, right = bottom[tid, addr]
-            if k < len(kids):
-                self.next_child[p] = tops[tid, kids[k]]
-                self.masks[p] = (left, edges[tid, kids[k]][0])
-            else:
-                self.bottom_of[p] = bottoms[tid, addr]
-                self.masks[p] = (left, right)
+        parts = iter(range(self.first_part, size))
+        for tid, addr, _, kids in nodes:
+            for k, kid in enumerate(kids, 1):
+                s = tops[tid, kid]
+                self.child_no[s] = k
+                # The state with the first k children: child 1's T state (its
+                # mask is a P(k = 1) state's), then P states in number order.
+                part = s
+                if k > 1:
+                    part = self.parent_part[s] = next(parts)
+                    left, right = bottom[tid, addr]
+                    self.masks[part] = (left, edges[tid, kids[k]][0] if k < len(kids) else right)
+                if k < len(kids):
+                    self.next_child[part] = tops[tid, kids[k]]
+                else:
+                    self.top_of[part] = tops[tid, addr]
         self.leaves: list[tuple[list, list, list]] = []
         for tid, tree in grammar.trees.items():
             if tree.shape != INITIAL:
@@ -367,9 +362,9 @@ class _Chart:
                 self.feet.setdefault(label, []).append(s)
         self.backpointers: dict[tuple, list[tuple]] = {}
         self.agenda: list[tuple] = []
-        # Combination indexes.  Tops and parts meet on (T state of a
-        # child k >= 2, position): tops by where they start, parts by
-        # where they end and which child they wait for.
+        # Combination indexes.  Tops and parts (P and first-child T items)
+        # meet on (T state of a child k >= 2, position): tops by where they
+        # start, parts by where they end and which child they wait for.
         self.tops_by_start: dict[tuple, list[tuple]] = {}
         self.parts_by_end: dict[tuple, list[tuple]] = {}
         self.bots_by_span: dict[tuple, list[tuple]] = {}
@@ -378,16 +373,13 @@ class _Chart:
 
     def run(self):
         self._axioms()
-        bottoms, parts = self.states.first_bottom, self.states.first_part
+        parts = self.states.first_part
         while self.agenda:
             item = self.agenda.pop()
-            s = item[0]
-            if s < bottoms:
+            if item[0] < parts:
                 self._process_top(item)
-            elif s >= parts:
-                self._process_part(item)
             else:
-                self._process_bottom(item)
+                self._process_part(item)
         return self
 
     # -- item admission ------------------------------------------------
@@ -413,15 +405,15 @@ class _Chart:
     # -- inference -----------------------------------------------------
 
     def _process_top(self, item: tuple):
-        s, i, j, p, q = item
+        s, i, _, _, _ = item
         k = self.states.child_no[s]
-        if k == 1:
-            self._add((self.states.parent_part[s], i, j, p, q), ("first", item))
+        if k == 1:  # its parent's first child done
+            self._process_part(item)
         elif k:
             for part in self.parts_by_end.get((s, i), ()):
                 self._combine(part, item)
             # Only a child k >= 2 is looked up here: a first child starts
-            # its parent's P items and never extends one.
+            # its parent's parts and never extends one.
             self.tops_by_start.setdefault((s, i), []).append(item)
         else:
             self._process_complete(item)
@@ -435,19 +427,20 @@ class _Chart:
         self._add((self.states.parent_part[s2], i, j2, *foot), ("concat", part, top))
 
     def _process_part(self, item: tuple):
-        s, i, j, p, q = item
+        s, _, j, _, _ = item
         child = self.states.next_child[s]
         if child < 0:
-            self._add((self.states.bottom_of[s], i, j, p, q), ("children", item))
+            self._process_bottom(item)
         else:
             for top in self.tops_by_start.get((child, j), ()):
                 self._combine(item, top)
             self.parts_by_end.setdefault((child, j), []).append(item)
 
-    def _process_bottom(self, item: tuple):
+    def _process_bottom(self, item: tuple):  # the node before adjunction
         s, i, j, p, q = item
-        self._add((self.states.top_of[s], i, j, p, q), ("noadj", item))
-        label = self.states.labels[s]
+        top = self.states.top_of[s]
+        self._add((top, i, j, p, q), ("noadj", item))
+        label = self.states.labels[top]
         bots = self.bots_by_span.get((label, i, j))
         if bots is None:  # the span's foot items, once per label
             bots = self.bots_by_span[label, i, j] = []
@@ -478,8 +471,6 @@ class _Chart:
 
 # -- derivation extraction --------------------------------------------
 
-# Backpointers that pass their one child's derivations through unchanged.
-_UNARY = frozenset(("noadj", "children", "first"))
 # Backpointers of items with no ops below them.
 _LEAF = frozenset(("lex", "foot"))
 
@@ -511,11 +502,11 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
 
     def reach(item: tuple) -> list[tuple]:
         """The list of ``item``, pushing a frame to build it if it is new.
-        An item whose only backpointer is unary shares its child's list,
-        and every word and foot item shares ``leaf``."""
+        An item whose only backpointer is ``noadj`` shares its child's
+        list, and every word and foot item shares ``leaf``."""
         key = item
         bps = backpointers[item]
-        while len(bps) == 1 and bps[0][0] in _UNARY:
+        while len(bps) == 1 and bps[0][0] == "noadj":
             item = bps[0][1]
             vals = lists.get(item)
             if vals is not None:

@@ -44,8 +44,8 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.kind in LEAF_KINDS
 
-    # Equality and hash walk the tree with explicit stacks, so trees of
-    # any depth compare and hash (the generated ones recurse per level).
+    # Equality, hash and repr use explicit stacks, so trees of any depth
+    # compare, hash and print (the generated ones recurse per level).
 
     def __eq__(self, other):
         if not isinstance(other, TreeNode):
@@ -70,17 +70,24 @@ class TreeNode:
             stack += reversed(node.children)
         return hash(tuple(shape))
 
+    def __repr__(self):
+        out, stack = [], [self]  # nodes to print and text to write, last first
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+            else:
+                out.append(f"TreeNode(kind={node.kind!r}, label={node.label!r}, children=(")
+                kids = node.children
+                stack.append(",))" if len(kids) == 1 else "))")  # (only,) as tuples print
+                for kid in reversed(kids[1:]):
+                    stack += (kid, ", ")
+                stack += kids[:1]
+        return "".join(out)
+
 
 def interior(label: str, *children: TreeNode) -> TreeNode:
     return TreeNode(INTERIOR, label, tuple(children))
-
-
-def subst_node(label: str) -> TreeNode:
-    return TreeNode(SUBSTITUTION, label)
-
-
-def foot_node(label: str) -> TreeNode:
-    return TreeNode(FOOT, label)
 
 
 def anchor(word: str) -> TreeNode:

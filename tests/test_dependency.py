@@ -10,6 +10,7 @@ from tagforge import corpus
 from tagforge.dependency import DepNode, DependencyTree, resolve_order, serialize_dependency
 from tagforge.derive import DerivationStep, DerivationTree
 from tagforge.errors import GrammarFormatError, IncompleteOrder, InversionError
+from tagforge.exports import dependency_from_json, dependency_to_json
 
 from conftest import (
     all_rooted_trees,
@@ -404,6 +405,13 @@ def test_dependency_round_trip():
         assert again.root == tree.root
         assert set(again.nodes) == set(tree.nodes)
         assert sorted(again.arcs) == sorted(tree.arcs)
+
+
+def test_dependency_json_round_trip():
+    for name in ("fig8.dep", "fig12.dep", "fig18.dep"):
+        tree = tf.parse_dependency(corpus.read(name))
+        again = dependency_from_json(dependency_to_json(tree))
+        assert serialize_dependency(again) == serialize_dependency(tree), name
 
 
 def test_duplicate_lexemes_get_suffixes():

@@ -212,9 +212,12 @@ def test_deep_grammar_text_round_trip(tmp_path, capsys):
 
 
 def test_deep_trees_compare_and_hash():
-    """``TreeNode`` equality and hash use explicit stacks: two reads of a
-    3,000-deep grammar tree compare equal and hash alike, and a tree that
-    differs only at the bottom compares unequal."""
+    """``TreeNode`` equality, hash and repr use explicit stacks: two reads
+    of a 3,000-deep grammar tree compare equal and hash alike, a tree that
+    differs only at the bottom compares unequal, and the deep tree prints
+    the text the generated repr prints for shallow ones."""
+    from tagforge.trees import TreeNode
+
     depth = 3_000
     text = "start S\ntree deep initial " + "(S " * depth + '"x"@' + ")" * depth + "\n"
     first, second = (tf.parse_grammar(text).trees["deep"].root for _ in range(2))
@@ -222,6 +225,16 @@ def test_deep_trees_compare_and_hash():
     assert first == second and hash(first) == hash(second)
     other = tf.parse_grammar(text.replace('"x"@', '"y"@')).trees["deep"].root
     assert first != other and other != first
+    x = "TreeNode(kind='anchor', label='x', children=())"
+    s = "TreeNode(kind='interior', label='S', children=("
+    assert repr(first) == s * depth + x + ",))" * depth
+    shallow = TreeNode("interior", "S", (TreeNode("anchor", "x"),))
+    assert repr(shallow) == s + x + ",))"
+    pair = TreeNode("interior", "S'", (TreeNode("foot", 'S"'), TreeNode("terminal", "y")))
+    assert repr(pair) == (
+        "TreeNode(kind='interior', label=\"S'\", children=(TreeNode(kind='foot', "
+        "label='S\"', children=()), TreeNode(kind='terminal', label='y', children=())))"
+    )
 
 
 def test_walk_deep_chain_without_recursion():

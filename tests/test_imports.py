@@ -105,8 +105,9 @@ except AttributeError:
     pass
 else:
     raise AssertionError("tagforge.no_such_name did not raise AttributeError")
-from tagforge import corpus, derive, exports
+from tagforge import corpus, derive, errors, exports
 assert derive.run_derivation is tagforge.run_derivation
+assert tagforge.TagError is tagforge.errors.TagError
 assert callable(exports.derivation_to_json) and corpus.read("fig7.drv")
 """
     )

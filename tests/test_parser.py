@@ -305,38 +305,43 @@ def test_word_contexts_follow_grammar_changes():
 
 def _state_keys(grammar):
     """Each state kind's keys in state order, checked against the
-    grammar's nodes: T (tree id, address), B the same for interior nodes,
-    P (tree id, address, k), and the links between them."""
+    grammar's nodes: T (tree id, address), P (tree id, address, k) for
+    k >= 2, and the links between them.  A first child's T state stands
+    for its parent's first child done, so it links on like a P state."""
     states = chart._chart_states(grammar)
     nodes = {
         (tid, addr): node for tid, tree in grammar.trees.items() for addr, node in tree.nodes.items()
     }
-    t_keys = [(states.tids[s], states.addrs[s]) for s in range(states.first_bottom)]
+    t_keys = [(states.tids[s], states.addrs[s]) for s in range(states.first_part)]
     top = {key: s for s, key in enumerate(t_keys)}
     assert top.keys() == nodes.keys()
-    bottoms = range(states.first_bottom, states.first_part)
-    parts = range(states.first_part, len(states.tids))
-    b_keys = [(states.tids[b], states.addrs[b]) for b in bottoms]
-    assert set(b_keys) == {key for key, node in nodes.items() if node.children}
     p_keys = []
-    for p in parts:
+    for p in range(states.first_part, len(states.tids)):
         key = (states.tids[p], states.addrs[p])
         if states.next_child[p] < 0:
             k = len(nodes[key].children)
-            assert (states.tids[states.bottom_of[p]], states.addrs[states.bottom_of[p]]) == key
+            assert states.top_of[p] == top[key]
         else:
             k = states.addrs[states.next_child[p]][-1] - 1
             assert states.next_child[p] == top[key[0], key[1] + (k + 1,)]
+            assert states.top_of[p] == -1
         p_keys.append(key + (k,))
-    widths = {key: len(nodes[key].children) for key in b_keys}
-    assert set(p_keys) == {key + (k,) for key, width in widths.items() for k in range(1, width + 1)}
+    widths = {key: len(node.children) for key, node in nodes.items()}
+    assert set(p_keys) == {key + (k,) for key, width in widths.items() for k in range(2, width + 1)}
     for (tid, addr), s in top.items():
-        if addr:
+        k = addr[-1] if addr else 0
+        if k > 1:
             p = states.parent_part[s]
-            assert p_keys[p - states.first_part] == (tid, addr[:-1], addr[-1])
-    for b in bottoms:
-        assert top[states.tids[b], states.addrs[b]] == states.top_of[b]
-    return t_keys, b_keys, p_keys
+            assert p_keys[p - states.first_part] == (tid, addr[:-1], k)
+        else:
+            assert states.parent_part[s] == -1
+        if k != 1:
+            assert states.next_child[s] == states.top_of[s] == -1
+        elif widths[tid, addr[:-1]] == 1:
+            assert states.top_of[s] == top[tid, addr[:-1]] and states.next_child[s] == -1
+        else:
+            assert states.next_child[s] == top[tid, addr[:-1] + (2,)] and states.top_of[s] == -1
+    return t_keys, p_keys
 
 
 def test_state_numbers_sort_like_their_keys(english, english_wh, dutch, german_mc):
@@ -354,10 +359,10 @@ def test_state_numbers_sort_like_their_keys(english, english_wh, dutch, german_m
 def test_item_counts_are_pinned(english):
     """The chart builds exactly these items; a change of item encoding or
     filter order leaves the counts as they are."""
-    for k, items in ((96, 598), (128, 790), (256, 1_558), (600, 3_622)):
+    for k, items in ((96, 396), (128, 524), (256, 1_036), (600, 2_412)):
         assert tf.parse(english, _adverbs(k), cap=1).stats["items"] == items, k
     words = "John saw Lyn".split() + ["with", "telescope"] * 8
-    assert tf.parse(tf.parse_grammar(PP_GRAMMAR), words, cap=1).stats["items"] == 1_010
+    assert tf.parse(tf.parse_grammar(PP_GRAMMAR), words, cap=1).stats["items"] == 656
 
 
 def test_recognize_long_adverb_stack(english):
