@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("dep", "dependency tree of a derivation (S arcs inverted)", g="req", s="req")
 
     p = add("projective", "check projectivity of a dependency tree", t="req")
-    p.add_argument("--order", help="surface word order (defaults to file order)")
+    p.add_argument("--order", help="surface word order (needed: a dependency file stores none)")
 
     add("linearize", "linearize a dependency tree with syntagm rules", t="req", r="req")
 

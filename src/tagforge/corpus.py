@@ -19,16 +19,9 @@ FILES = (
     "english_projective.syn",
 )
 
-GRAMMARS = tuple(name for name in FILES if name.endswith(".tag"))
-
 
 def read(name: str) -> str:
     if name not in FILES:
         raise KeyError(f"no bundled corpus file {name!r}")
     return (resources.files("tagforge") / "corpus" / name).read_text(encoding="utf-8")
 
-
-def path(name: str):
-    if name not in FILES:
-        raise KeyError(f"no bundled corpus file {name!r}")
-    return resources.files("tagforge") / "corpus" / name

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     GrammarFormatError,
@@ -157,20 +157,20 @@ def adjoin(
             f"site label {site_node.label!r} at {format_address(site)} vs "
             f"auxiliary root/foot {aux_pt.root.label!r}/{foot_label!r}"
         )
-    excised = site_node
-    spliced = replace_at(aux_pt.root, foot, excised)
+    spliced = replace_at(aux_pt.root, foot, site_node)
     new_root = replace_at(target.root, site, spliced)
-
-    def moved(addr: Address) -> Address:
-        # The excised subtree now hangs below the foot.
-        return site + foot + addr[len(site):] if is_prefix(site, addr) else addr
-
-    prov = {moved(addr): origin for addr, origin in target.provenance.items()}
+    prov = {_below_foot(site, foot, a): origin for a, origin in target.provenance.items()}
     for addr, origin in aux_pt.provenance.items():
         if addr == foot:
             continue  # the excised subtree root occupies the foot position
         prov[site + addr] = origin
-    return PhraseTree(new_root, prov, tuple(moved(f) for f in target.feet))
+    return PhraseTree(new_root, prov, tuple(_below_foot(site, foot, f) for f in target.feet))
+
+
+def _below_foot(site: Address, foot: Address, addr: Address) -> Address:
+    """Where ``addr`` is after adjunction at ``site`` of a tree whose foot
+    is at ``foot``: the excised subtree now hangs below the foot."""
+    return site + foot + addr[len(site):] if is_prefix(site, addr) else addr
 
 
 def adjoin_set(
@@ -187,32 +187,20 @@ def adjoin_set(
     not fit, the error leaves ``target`` unchanged and no partial result
     is returned.
     """
-    return _adjoin_members(target, sites, tree_set.id, tree_set.members)
-
-
-def _adjoin_members(
-    target: PhraseTree,
-    sites: Sequence[Address],
-    set_id: str,
-    members: Sequence[ElementaryTree | PhraseTree],
-) -> PhraseTree:
-    """The body of ``adjoin_set``, for members given as elementary trees
-    or as phrase trees (a script's set step builds them from the set's
-    elementary trees)."""
+    members = tree_set.members
     if len(sites) != len(members):
         raise SetArity(
-            f"set {set_id!r} has {len(members)} members but {len(sites)} sites were given"
+            f"set {tree_set.id!r} has {len(members)} members but {len(sites)} sites were given"
         )
     if len(set(sites)) != len(sites):
-        raise SetArity(f"set {set_id!r}: sites must be pairwise distinct")
+        raise SetArity(f"set {tree_set.id!r}: sites must be pairwise distinct")
     result = target
-    applied: list[tuple[Address, Address]] = []  # (translated site, foot path)
+    applied: list[tuple[Address, Address]] = []  # (translated site, foot address)
     for site, member in zip(sites, members):
         for prev_site, prev_foot in applied:
-            if is_prefix(prev_site, site):
-                site = prev_site + prev_foot + site[len(prev_site):]
+            site = _below_foot(prev_site, prev_foot, site)
         result = adjoin(result, site, member)
-        applied.append((site, _as_phrase(member).feet[0]))
+        applied.append((site, member.foot_addresses()[0]))
     return result
 
 
@@ -287,24 +275,17 @@ class DerivationTree:
     def canonical(self):
         """Order-independent structural form as nested tuples; two trees
         are equal exactly when their canonical forms are."""
-        return self._fold(lambda _, tree_id, kids: (tree_id, _sorted_steps(kids, _DEEP_ORDER)))
+        return self._fold(lambda _, tree_id, kids: (tree_id, _sorted_steps(kids)))
 
     def __eq__(self, other):
         if not isinstance(other, DerivationTree):
             return NotImplemented
-        # Each canonical node is numbered in one table shared by both
-        # trees, so no nested form is built or compared at any depth.
-        ids: dict[tuple, int] = {}
-
-        def number(_, tree_id, kids):
-            return ids.setdefault((tree_id, _sorted_steps(kids)), len(ids))
-
-        return self._fold(number) == other._fold(number)
+        return _deep_order(self.canonical(), other.canonical()) == 0
 
 
-def _sorted_steps(kids, key=None) -> tuple:
+def _sorted_steps(kids) -> tuple:
     """The sorted (op, site, label, child value) of a node's steps."""
-    return tuple(sorted(((s.op, s.site, s.arc_label, v) for _, s, v in kids), key=key))
+    return tuple(sorted(((s.op, s.site, s.arc_label, v) for _, s, v in kids), key=_DEEP_ORDER))
 
 
 def _deep_order(a, b) -> int:
@@ -329,31 +310,34 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
     """Replay a derivation tree; returns the derived tree and its yield."""
     script.validate()
 
-    def build(instance: str, tree_id: str, kids: list) -> PhraseTree | TagError:
+    set_occurrences = {s.child for s in script.steps if s.op == "adjoin_set"}
+
+    def build(instance: str, tree_id: str, kids: list) -> PhraseTree | TreeSet | TagError:
         # A fault is returned, not raised, and raised by the step that
         # attaches this instance, so the fault reported is the one a
         # depth-first replay in script order meets first.
         try:
-            phrase = PhraseTree.from_elementary(grammar.tree(tree_id), instance)
+            if instance not in set_occurrences:
+                made = PhraseTree.from_elementary(grammar.tree(tree_id), instance)
+            elif tree_id in grammar.tree_sets:
+                made = grammar.tree_sets[tree_id]
+            else:
+                raise UnknownTree(f"no tree set named {tree_id!r}")
             for idx, step, child in kids:
                 try:
-                    if step.op == "adjoin_set":
-                        set_id = script.instances[step.child]
-                        if set_id not in grammar.tree_sets:
-                            raise UnknownTree(f"no tree set named {set_id!r}")
-                        sites = [phrase.address_of(instance, s) for s in step.site]
-                        members = [
-                            PhraseTree.from_elementary(m) for m in grammar.tree_sets[set_id].members
-                        ]
-                        phrase = _adjoin_members(phrase, sites, set_id, members)
-                        continue
                     if isinstance(child, TagError):
                         raise child
-                    here = phrase.address_of(instance, step.site)
+                    if isinstance(made, TreeSet):
+                        raise IllegalSite(f"{instance!r} is a tree set; no step attaches to it")
+                    if step.op == "adjoin_set":
+                        sites = [made.address_of(instance, s) for s in step.site]
+                        made = adjoin_set(made, sites, child)
+                        continue
+                    here = made.address_of(instance, step.site)
                     if step.op == "substitute":
-                        phrase = substitute(phrase, here, child)
+                        made = substitute(made, here, child)
                     elif step.op == "adjoin":
-                        phrase = adjoin(phrase, here, child)
+                        made = adjoin(made, here, child)
                     else:
                         raise GrammarFormatError(f"unknown op {step.op!r}")
                 except ScriptError:
@@ -362,7 +346,7 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
                     raise ScriptError(idx, exc) from exc
         except TagError as exc:
             return exc
-        return phrase
+        return made
 
     derived = script._fold(build)
     if isinstance(derived, TagError):

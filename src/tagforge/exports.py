@@ -6,7 +6,7 @@ import json
 
 from .dependency import DependencyTree, DepNode
 from .derive import DerivationStep, DerivationTree, PhraseTree
-from .errors import GrammarFormatError
+from .errors import GrammarFormatError, TagError
 from .trees import TreeNode, format_address, parse_address, walk
 
 
@@ -14,7 +14,23 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _dot(name: str, nodes, edges) -> str:
+    """A DOT digraph of (id, label) nodes and (tail, head, label) edges;
+    an edge whose label is None is drawn unlabelled."""
+    lines = [f'digraph "{_dot_escape(name)}" {{', "  node [shape=plaintext];"]
+    lines.extend(f'  {node_id} [label="{_dot_escape(label)}"];' for node_id, label in nodes)
+    for tail, head, label in edges:
+        attrs = "" if label is None else f' [label="{_dot_escape(label)}"]'
+        lines.append(f"  {tail} -> {head}{attrs};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # -- phrase trees ------------------------------------------------------
+
+# JSON nests two containers per tree level, and both ``json.dumps`` and
+# ``json.loads`` stop at about 500 tree levels with a RecursionError.
+_TOO_DEEP = "phrase tree nests too deep for JSON (the limit is about 500 levels)"
 
 
 def phrase_to_json(tree: PhraseTree) -> str:
@@ -28,42 +44,39 @@ def phrase_to_json(tree: PhraseTree) -> str:
         format_address(addr): {"tree": origin[0], "address": format_address(origin[1])}
         for addr, origin in sorted(tree.provenance.items())
     }
-    return json.dumps({"root": node(tree.root), "provenance": provenance}, indent=2, ensure_ascii=False)
+    try:
+        return json.dumps({"root": node(tree.root), "provenance": provenance}, indent=2, ensure_ascii=False)
+    except RecursionError:
+        raise TagError(_TOO_DEEP) from None
 
 
 def phrase_from_json(text: str) -> PhraseTree:
-    data = json.loads(text)
-
     def node(obj) -> TreeNode:
         children = tuple(node(c) for c in obj.get("children", []))
         return TreeNode(obj["kind"], obj["label"], children)
 
-    provenance = {
-        parse_address(addr): (origin["tree"], parse_address(origin["address"]))
-        for addr, origin in data.get("provenance", {}).items()
-    }
-    return PhraseTree(node(data["root"]), provenance)
+    try:
+        data = json.loads(text)
+        provenance = {
+            parse_address(addr): (origin["tree"], parse_address(origin["address"]))
+            for addr, origin in data.get("provenance", {}).items()
+        }
+        return PhraseTree(node(data["root"]), provenance)
+    except RecursionError:
+        raise GrammarFormatError(_TOO_DEEP) from None
+
+
+_PHRASE_LABELS = {"substitution": "{} ↓", "foot": "{} *", "terminal": '"{}"', "anchor": "{}◇"}
 
 
 def phrase_to_dot(tree: PhraseTree, name: str = "derived") -> str:
-    lines = [f'digraph "{_dot_escape(name)}" {{', "  node [shape=plaintext];"]
+    nodes, edges = [], []
     for addr, node in walk(tree.root):
-        node_id = "n" + "_".join(str(i) for i in addr) if addr else "n0"
-        label = node.label
-        if node.kind == "substitution":
-            label += " ↓"
-        elif node.kind == "foot":
-            label += " *"
-        elif node.kind in ("anchor", "terminal"):
-            label = f'"{label}"' if node.kind == "terminal" else f"{label}◇"
-        lines.append(f'  {node_id} [label="{_dot_escape(label)}"];')
-    for addr, node in walk(tree.root):
-        parent_id = "n" + "_".join(str(i) for i in addr) if addr else "n0"
-        for i in range(1, len(node.children) + 1):
-            child_id = "n" + "_".join(str(x) for x in addr + (i,))
-            lines.append(f"  {parent_id} -> {child_id};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        node_id = "n" + ("_".join(map(str, addr)) or "0")
+        nodes.append((node_id, _PHRASE_LABELS.get(node.kind, "{}").format(node.label)))
+        below = node_id + "_" if addr else "n"
+        edges.extend((node_id, f"{below}{i}", None) for i in range(1, len(node.children) + 1))
+    return _dot(name, nodes, edges)
 
 
 # -- derivation trees --------------------------------------------------
@@ -116,17 +129,10 @@ def derivation_to_dot(
     """Nodes carry the anchor lexeme; arcs carry the actant number,
     ATTR or S."""
     lexemes = lexemes or {}
-    lines = [f'digraph "{_dot_escape(name)}" {{', "  node [shape=plaintext];"]
     ids = {inst: f"n{i}" for i, inst in enumerate(script.instances)}
-    for inst in script.instances:
-        label = lexemes.get(inst, script.instances[inst])
-        lines.append(f'  {ids[inst]} [label="{_dot_escape(label)}"];')
-    for step in script.steps:
-        lines.append(
-            f'  {ids[step.parent]} -> {ids[step.child]} [label="{_dot_escape(step.arc_label)}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [(ids[inst], lexemes.get(inst, tree_id)) for inst, tree_id in script.instances.items()]
+    edges = [(ids[s.parent], ids[s.child], s.arc_label) for s in script.steps]
+    return _dot(name, nodes, edges)
 
 
 # -- dependency trees --------------------------------------------------
@@ -160,12 +166,10 @@ def dependency_from_json(text: str) -> DependencyTree:
 
 
 def dependency_to_dot(tree: DependencyTree, name: str = "dependency") -> str:
-    lines = [f'digraph "{_dot_escape(name)}" {{', "  node [shape=plaintext];"]
     ids = {nid: f"n{i}" for i, nid in enumerate(tree.nodes)}
-    for nid, node in tree.nodes.items():
-        label = f"({node.lexeme})" if node.covert else node.lexeme
-        lines.append(f'  {ids[nid]} [label="{_dot_escape(label)}"];')
-    for head, dep, label in tree.arcs:
-        lines.append(f'  {ids[head]} -> {ids[dep]} [label="{_dot_escape(label)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [
+        (ids[nid], f"({node.lexeme})" if node.covert else node.lexeme)
+        for nid, node in tree.nodes.items()
+    ]
+    edges = [(ids[head], ids[dep], label) for head, dep, label in tree.arcs]
+    return _dot(name, nodes, edges)

@@ -164,8 +164,6 @@ def validate_tree(tree: ElementaryTree) -> ValidationReport:
         where = format_address(address)
         if node.kind == INTERIOR and not node.children:
             report.violations.append(f"{where}: interior node {node.label!r} has no children")
-        if node.kind in (SUBSTITUTION, FOOT, ANCHOR, TERMINAL) and node.children:
-            report.violations.append(f"{where}: {node.kind} node must be a frontier node")
 
     feet = tree.foot_addresses()
     if tree.shape == AUXILIARY:

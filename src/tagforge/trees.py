@@ -127,9 +127,9 @@ def replace_at(root: TreeNode, address: Address, replacement: TreeNode) -> TreeN
     return replacement
 
 
-def walk(root: TreeNode, prefix: Address = ()) -> Iterator[tuple[Address, TreeNode]]:
+def walk(root: TreeNode) -> Iterator[tuple[Address, TreeNode]]:
     """Preorder traversal yielding (address, node) pairs, without recursion."""
-    stack = [(prefix, root)]
+    stack = [((), root)]
     while stack:
         address, node = stack.pop()
         yield address, node

@@ -251,3 +251,34 @@ def test_unknown_tree_in_step_exit_1(tmp_path, grammar, script, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [message]
+
+
+def test_too_deep_json_export_exit_1(tmp_path):
+    """JSON export of a 600-level derived tree ends in one error line,
+    with no traceback."""
+    lines = [
+        "use alpha1",
+        "subst alpha2 -> alpha1 @ 1 label 1",
+        "subst alpha3 -> alpha1 @ 2.2 label 2",
+        "adjoin beta1 as b1 -> alpha1 @ 2 label ATTR",
+    ]
+    lines += [f"adjoin beta1 as b{i} -> b{i - 1} @ 0 label ATTR" for i in range(2, 601)]
+    path = tmp_path / "chain.drv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    src = str(Path(tf.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    argv = ["derive", "-g", "corpus:english.tag", "-s", str(path), "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: TagError: phrase tree nests too deep for JSON (the limit is about 500 levels)"
+    ]

@@ -215,6 +215,65 @@ def test_set_members_come_from_the_grammar(german_mc):
     assert sentence == expected
 
 
+FIG7 = corpus.read("fig7.drv")
+FIG15 = corpus.read("fig15.drv")
+
+
+@pytest.mark.parametrize(
+    "grammar, script, step",
+    [
+        # the fault is in the child instance's own step
+        ("english", FIG7 + "adjoin beta1 as b2 -> beta1 @ 1 label ATTR", 3),
+        # the parent's earlier step is met first
+        (
+            "english",
+            FIG7.replace("alpha1 @ 1 label", "alpha1 @ 9 label")
+            + "adjoin beta1 as b2 -> beta1 @ 1 label ATTR",
+            0,
+        ),
+        # the child's fault is met before the parent's later faulty step
+        (
+            "english",
+            "use alpha1\n"
+            "adjoin beta1 as b2 -> beta1 @ 1 label ATTR\n"
+            "adjoin beta1 -> alpha1 @ 2 label ATTR\n"
+            "subst alpha2 -> alpha1 @ 9 label 1\n"
+            "subst alpha3 -> alpha1 @ 2.2 label 2\n",
+            0,
+        ),
+        # a set occurrence has no node for a step to attach to
+        ("german_mc", FIG15 + "subst np_acc as extra -> sigma_m @ 1 label 1", 3),
+        ("german_mc", FIG15 + "subst np_acc as extra -> sigma_m @ 9.9 label 1", 3),
+    ],
+    ids=["child-step", "parent-step-first", "child-before-parent", "set-parent", "set-parent-bad-site"],
+)
+def test_fault_inside_a_child_instance_names_its_step(request, grammar, script, step):
+    grammar = request.getfixturevalue(grammar)
+    with pytest.raises(ScriptError) as excinfo:
+        tf.run_derivation(grammar, tf.parse_script(script, grammar))
+    assert excinfo.value.step_index == step
+    assert type(excinfo.value.cause) is IllegalSite
+
+
+def test_set_steps_look_up_no_set_as_a_tree(monkeypatch, german_mc):
+    """A set occurrence replays as its tree set: replay never asks the
+    grammar for a tree by a set's id, also when a set step fails."""
+    site_lists = ["1, 2.2", "2.2, 2", "1", "1, 2.1", "2.2.1, 2.2"]
+    scripts = [
+        tf.parse_script(FIG15_PREFIX + f"adjoinset sigma_m -> alpha_inf @ {sites} label S", german_mc)
+        for sites in site_lists
+    ]
+    asked = []
+    lookup = type(german_mc).tree
+    monkeypatch.setattr(type(german_mc), "tree", lambda g, tid: asked.append(tid) or lookup(g, tid))
+    for script in scripts:
+        try:
+            tf.run_derivation(german_mc, script)
+        except ScriptError:
+            pass
+    assert set(asked) == {"alpha_inf", "np_acc", "np_gen"}
+
+
 # -- golden derivations ------------------------------------------------
 
 
@@ -456,6 +515,26 @@ def test_deep_script_replays_without_recursion(english):
     finally:
         sys.setrecursionlimit(limit)
     assert sentence == " ".join(["John"] + ["really"] * depth + ["likes", "Lyn"])
+
+
+def _phrase_chain(depth: int) -> PhraseTree:
+    node = TreeNode("anchor", "x")
+    for _ in range(depth):
+        node = TreeNode("interior", "A", (node,))
+    return PhraseTree(node, {})
+
+
+def test_too_deep_json_is_a_typed_error():
+    """JSON stops at about 500 tree levels both ways, so a deeper phrase
+    tree ends in a typed error, and a shallower one round-trips."""
+    shallow = _phrase_chain(200)
+    assert exports.phrase_from_json(exports.phrase_to_json(shallow)).root == shallow.root
+    with pytest.raises(tf.TagError, match="too deep for JSON"):
+        exports.phrase_to_json(_phrase_chain(600))
+    node = '{"kind": "interior", "label": "A", "children": ['
+    text = '{"root": ' + node * 600 + '{"kind": "anchor", "label": "x"}' + "]}" * 600 + "}"
+    with pytest.raises(GrammarFormatError, match="too deep for JSON"):
+        exports.phrase_from_json(text)
 
 
 def test_replace_at_copies_only_the_path():
