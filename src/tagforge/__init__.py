@@ -31,7 +31,23 @@ _MODULES = {
         "run_derivation",
         "substitute",
     ),
-    "errors": ("TagError",),
+    "errors": (
+        "AmbiguousRule",
+        "CompositionError",
+        "GrammarFormatError",
+        "IllegalSite",
+        "IncompleteDerivation",
+        "IncompleteOrder",
+        "InversionError",
+        "LabelMismatch",
+        "NoRule",
+        "RefuseUnbounded",
+        "ScriptError",
+        "SetArity",
+        "TagError",
+        "UnknownTree",
+        "WrongShape",
+    ),
     "grammar": (
         "CfgRule",
         "ElementaryTree",

@@ -72,7 +72,11 @@ its children's finished lists, and every item that uses it shares it;
 an item reads its backpointers only until it has ``cap``, so the cost
 grows with the derivations returned, not with the whole forest.  An
 explicit stack drives the pass, so deep derivations (hundreds of stacked
-adjunctions) are read off like shallow ones.
+adjunctions) are read off like shallow ones.  The returned derivations
+share their steps: a ``DerivationStep`` is an immutable value, and one
+parse builds each distinct step once (the 6,006 steps of the 429
+derivations of ``N saw N (with N)^6`` are 86 objects), while every
+derivation gets its own ``steps`` list and ``instances`` dict.
 
 ``enumerate_language`` is an independent brute-force oracle: it expands
 every derivation using a bounded number of elementary trees, without
@@ -522,6 +526,7 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
         return vals
 
     found: list[DerivationTree] = []
+    made: dict[tuple, DerivationStep] = {}  # shared by every derivation built
     for goal in goals:
         want = cap - len(found)
         if want <= 0:
@@ -566,34 +571,47 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
                 stack.pop()
                 continue
             frame[1] = b
-        found += [_derivation_tree(states.tids[goal[0]], ops) for ops in first[:want]]
+        tree_id = states.tids[goal[0]]
+        found += [_derivation_tree(tree_id, ops, made) for ops in first[:want]]
     return found
 
 
-def _derivation_tree(tree_id: str, ops: tuple) -> DerivationTree:
+def _derivation_tree(tree_id: str, ops: tuple, made: dict) -> DerivationTree:
     """Build one derivation with an explicit stack: instances are named in
-    preorder (``tree``, ``tree#2``, ...) and steps listed in post-order."""
+    preorder (``tree``, ``tree#2``, ...) and steps listed in post-order.
+
+    ``made`` holds the steps already built in this parse, keyed by the
+    fields they are made of (the name by tree id and occurrence), so a
+    step that several derivations share is one immutable object and its
+    name is formatted once.  The ``steps`` list and ``instances`` dict are
+    the derivation's own."""
     counts = {tree_id: 1}
     instances = {tree_id: tree_id}
     steps: list[DerivationStep] = []
-    # Frames: (instance, its ops still to visit, the step that attaches it).
-    stack = [(tree_id, iter(ops), None)]
-    while stack:
-        parent, todo, attach = stack[-1]
+    # A frame is (instance, its ops still to visit, the step that attaches
+    # it); the open one is held in locals and the stack holds the others.
+    parent, todo, attach = tree_id, iter(ops), None
+    stack: list[tuple] = []
+    while True:
         for op, site, label, child, child_ops in todo:
             count = counts[child] = counts.get(child, 0) + 1
-            name = child if count == 1 else f"{child}#{count}"
+            key = (op, child, count, parent, site, label)
+            step = made.get(key)
+            if step is None:
+                name = child if count == 1 else f"{child}#{count}"
+                step = made[key] = DerivationStep(op, name, parent, site, label)
+            name = step.child
             instances[name] = child
-            step = DerivationStep(op, name, parent, site, label)
             if child_ops:
-                stack.append((name, iter(child_ops), step))
+                stack.append((parent, todo, attach))
+                parent, todo, attach = name, iter(child_ops), step
                 break
             steps.append(step)
         else:
-            stack.pop()
-            if attach is not None:
-                steps.append(attach)  # after the instance's own steps
-    return DerivationTree(tree_id, instances, steps)
+            if attach is None:  # the root's ops are done
+                return DerivationTree(tree_id, instances, steps)
+            steps.append(attach)  # after the instance's own steps
+            parent, todo, attach = stack.pop()
 
 
 def _check_parseable(grammar: Grammar):

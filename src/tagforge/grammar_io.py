@@ -185,7 +185,12 @@ def parse_grammar(text: str) -> Grammar:
             raise GrammarFormatError(f"unknown statement {value!r}", line)
 
     # Set members are declared as ordinary trees, then moved into the set.
+    # A set id is also an instance's tree id in a derivation, so it may not
+    # be any tree's id.
+    tree_ids = set(grammar.trees)
     for set_id, member_ids, line in pending_sets:
+        if set_id in tree_ids:
+            raise GrammarFormatError(f"set id {set_id!r} is also a tree id", line)
         members = []
         for mid in member_ids:
             if mid not in grammar.trees:

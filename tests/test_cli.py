@@ -11,6 +11,8 @@ import tagforge as tf
 from tagforge import exports
 from tagforge.cli import main
 
+from test_grammar import SET_ID_CLASH
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -215,6 +217,25 @@ def test_projective_rootless_file_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: dependency file has no root node"]
+
+
+def test_validate_set_id_clash_exit_2(tmp_path):
+    """A set named like a tree is a grammar format error, reported on one
+    stderr line like every other one (exit 2)."""
+    grammar = tmp_path / "clash.tag"
+    grammar.write_text(SET_ID_CLASH, encoding="utf-8")
+    src = str(Path(tf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", "validate", "-g", str(grammar)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: line 7: set id 's' is also a tree id"]
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,29 @@ def test_parse_grammar_errors():
         tf.parse_grammar("set s { missing }")
 
 
+# A set whose id is also a tree's id: an instance of ``s`` in a derivation
+# could be either, so the reader refuses the set line.
+SET_ID_CLASH = (
+    'start S\n'
+    'tree a initial (S NP! (VP "v"@))\n'
+    'tree n initial (NP "x"@)\n'
+    'tree s aux (VP "z"@ VP*)\n'
+    'tree m1 aux (VP "m"@ VP*)\n'
+    'tree m2 aux (VP "q"@ VP*)\n'
+    'set s { m1 m2 }\n'
+)
+
+
+def test_set_id_may_not_be_a_tree_id():
+    with pytest.raises(GrammarFormatError, match="line 7: set id 's' is also a tree id"):
+        tf.parse_grammar(SET_ID_CLASH)
+    # A member's id counts too, though the member leaves ``trees``.
+    with pytest.raises(GrammarFormatError, match="set id 'm1' is also a tree id"):
+        tf.parse_grammar(SET_ID_CLASH.replace("set s {", "set m1 {"))
+    grammar = tf.parse_grammar(SET_ID_CLASH.replace("set s {", "set ms {"))
+    assert set(grammar.trees) == {"a", "n", "s"} and set(grammar.tree_sets) == {"ms"}
+
+
 def test_start_symbol_inferred():
     g = tf.parse_grammar('tree a initial (NP "John"@)')
     assert g.start_symbol == "NP"

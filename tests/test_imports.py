@@ -108,6 +108,10 @@ else:
 from tagforge import corpus, derive, errors, exports
 assert derive.run_derivation is tagforge.run_derivation
 assert tagforge.TagError is tagforge.errors.TagError
+classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+assert len(classes) == 15, classes
+for cls in classes:
+    assert getattr(tagforge, cls.__name__) is cls and issubclass(cls, tagforge.TagError)
 assert callable(exports.derivation_to_json) and corpus.read("fig7.drv")
 """
     )

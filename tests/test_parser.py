@@ -465,6 +465,29 @@ def test_derivation_step_is_an_immutable_value():
         assert all(type(step) is tf.DerivationStep for step in back.steps)
 
 
+def test_parse_shares_steps_but_not_derivations():
+    """One parse builds each distinct step once, and the derivations it
+    returns share it (a step is an immutable value).  Each derivation
+    still owns its ``steps`` list and ``instances`` dict."""
+    grammar = tf.parse_grammar(PP_GRAMMAR)
+    words = "John saw Lyn".split() + ["with", "telescope"] * 6
+    derivations = tf.parse(grammar, words, cap=500).derivations
+    steps = [step for derivation in derivations for step in derivation.steps]
+    assert len(steps) == 6006
+    assert len(set(steps)) == 86
+    assert len({id(step) for step in steps}) == 86
+
+    def contents(derivations):
+        return [(list(d.instances.items()), list(d.steps)) for d in derivations]
+
+    before = contents(derivations)
+    first = derivations[0]
+    first.steps.append(first.steps[0])
+    first.instances["extra"] = "alpha_john"
+    assert contents(derivations[1:]) == before[1:]
+    assert contents(tf.parse(grammar, words, cap=500).derivations) == before
+
+
 # `c` substitutes an S into its own S leaf and has no word, so the chart
 # item for its leaf over "x" would derive itself.  In the two-tree
 # grammars the cycle runs through two items: `c` takes a T, and `d` makes
