@@ -115,9 +115,11 @@ def _cmd_validate(args) -> int:
 
 
 def _lexemes(grammar, script) -> dict[str, str]:
-    """Derivation-node labels: the anchor lexeme, else the tree or set id."""
+    """Derivation-node labels: the set id of a set occurrence, else the
+    tree's anchor lexeme, else the tree id."""
+    sets = script.set_occurrences()
     return {
-        inst: tid if tid in grammar.tree_sets else (grammar.tree(tid).anchor_lexeme or tid)
+        inst: tid if inst in sets else (grammar.tree(tid).anchor_lexeme or tid)
         for inst, tid in script.instances.items()
     }
 

@@ -14,6 +14,11 @@ linear in the tree and order; only failing arcs are scanned to list the
 violations.  Validation, parsing, serialization and projectivity use
 explicit stacks and memory linear in the tree, so chains 10^4 levels
 deep need no recursion.
+
+``validate`` keeps a copy of the root, arcs and nodes it last found
+valid, and checks the tree again only when they have changed since, so
+a tree passed from ``parse_dependency`` or ``derivation_to_dependency``
+to ``is_projective``, ``linearize`` and the exports is checked once.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import GrammarFormatError, IncompleteOrder, InversionError
+from .errors import GrammarFormatError, IncompleteOrder, InversionError, UnknownTree
 from .trees import ACTANT_RE, find_cycle
 
 if TYPE_CHECKING:
@@ -52,6 +57,8 @@ class DependencyTree:
     _indexed: list[tuple[str, str, str]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # (root, arcs, nodes) as last validated
+    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def dependent_index(self) -> dict[str, list[tuple[str, str]]]:
         """Head id -> [(dependent id, label)] in arc order.  Built in one
@@ -71,38 +78,48 @@ class DependencyTree:
         return [n for n in self.nodes.values() if not n.covert]
 
     def validate(self) -> None:
-        if self.root not in self.nodes:
+        """Check that the arcs form one tree over the nodes from ``root``,
+        with distinct actant indices at each node.  A tree checked once is
+        checked again only after its root, arcs or nodes have changed."""
+        if self._valid is not None and self._valid == (self.root, self.arcs, self.nodes):
+            return
+        nodes = self.nodes
+        if self.root not in nodes:
             raise GrammarFormatError(f"root {self.root!r} is not a node")
         heads: dict[str, str] = {}
         for head, dep, label in self.arcs:
-            if head not in self.nodes or dep not in self.nodes:
+            if head not in nodes or dep not in nodes:
                 raise GrammarFormatError(f"arc {head}->{dep} references unknown node")
             if dep in heads:
                 raise GrammarFormatError(f"node {dep!r} has two heads")
             heads[dep] = head
         if self.root in heads:
             raise GrammarFormatError("root has a head")
-        for node_id in self.nodes:
-            if node_id != self.root and node_id not in heads:
-                raise GrammarFormatError(f"node {node_id!r} is disconnected")
-        node = find_cycle(heads, self.root, self.nodes)
+        if len(heads) != len(nodes) - 1:
+            node = next(n for n in nodes if n != self.root and n not in heads)
+            raise GrammarFormatError(f"node {node!r} is disconnected")
+        node = find_cycle(heads, self.root, nodes)
         if node is not None:
             raise GrammarFormatError(f"cycle through node {node!r}")
-        index = self.dependent_index()
-        for node_id in self.nodes:
-            indices = [l for _, l in index.get(node_id, ()) if ACTANT_RE.match(l)]
-            if len(indices) != len(set(indices)):
-                raise GrammarFormatError(
-                    f"node {node_id!r} has two actants with the same index"
-                )
+        actants = [(head, label) for head, _, label in self.arcs if ACTANT_RE.match(label)]
+        if len(set(actants)) != len(actants):
+            seen, twice = set(), set()
+            for actant in actants:
+                if actant in seen:
+                    twice.add(actant[0])
+                seen.add(actant)
+            node = next(n for n in nodes if n in twice)
+            raise GrammarFormatError(f"node {node!r} has two actants with the same index")
+        self._valid = (self.root, list(self.arcs), dict(self.nodes))
 
 
 def derivation_to_dependency(derivation: DerivationTree, grammar: Grammar) -> DependencyTree:
     """One dependency node per derivation node; S arcs are inverted."""
     derivation.validate()
     tree = DependencyTree(root=derivation.root)
+    sets = derivation.set_occurrences()
     for instance, tree_id in derivation.instances.items():
-        tree.nodes[instance] = DepNode(instance, _lexeme_for(grammar, tree_id))
+        tree.nodes[instance] = DepNode(instance, _lexeme_for(grammar, tree_id, instance in sets))
 
     inverted = []
     for step in derivation.steps:
@@ -127,14 +144,16 @@ def derivation_to_dependency(derivation: DerivationTree, grammar: Grammar) -> De
     return tree
 
 
-def _lexeme_for(grammar: Grammar, tree_id: str) -> str:
+def _lexeme_for(grammar: Grammar, tree_id: str, is_set: bool) -> str:
     """A derivation node's lexeme: its tree's anchor, else the tree id.
-    A set occurrence takes its *last* member's anchor (in the bundled
-    corpus, that member carries the matrix verb)."""
-    if tree_id in grammar.tree_sets:
-        return grammar.tree_sets[tree_id].members[-1].anchor_lexeme or tree_id
-    tree = grammar.tree(tree_id)
-    return tree.anchor_lexeme or tree_id
+    A set occurrence (an instance an ``adjoin_set`` step attaches) takes
+    its *last* member's anchor (in the bundled corpus, that member carries
+    the matrix verb)."""
+    if not is_set:
+        return grammar.tree(tree_id).anchor_lexeme or tree_id
+    if tree_id not in grammar.tree_sets:
+        raise UnknownTree(f"no tree set named {tree_id!r}")
+    return grammar.tree_sets[tree_id].members[-1].anchor_lexeme or tree_id
 
 
 @dataclass

@@ -38,6 +38,7 @@ from .trees import (
     parse_address,
     replace_at,
     walk,
+    walk_nodes,
     yield_words,
 )
 
@@ -92,9 +93,7 @@ class PhraseTree:
         return self.feet[0] if self.feet else None
 
     def is_complete(self) -> bool:
-        return all(
-            n.kind not in (SUBSTITUTION, FOOT) for _, n in walk(self.root)
-        )
+        return all(n.kind not in (SUBSTITUTION, FOOT) for n in walk_nodes(self.root))
 
 
 def _as_phrase(tree: ElementaryTree | PhraseTree, instance: str | None = None) -> PhraseTree:
@@ -219,6 +218,8 @@ class DerivationTree:
     root: str
     instances: dict[str, str] = field(default_factory=dict)  # instance -> tree/set id
     steps: list[DerivationStep] = field(default_factory=list)
+    # (root, instances, steps) as last validated
+    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _steps_by_parent(self) -> dict[str, list[tuple[int, DerivationStep]]]:
         """Parent instance -> its (step index, step) pairs in script order."""
@@ -228,6 +229,11 @@ class DerivationTree:
         return index
 
     def validate(self) -> None:
+        """Check that the steps form one tree over the instances from
+        ``root``.  A tree checked once is checked again only after its
+        root, instances or steps have changed."""
+        if self._valid is not None and self._valid == (self.root, self.instances, self.steps):
+            return
         if self.root not in self.instances:
             raise GrammarFormatError(f"root instance {self.root!r} not declared")
         parents = {}
@@ -244,6 +250,12 @@ class DerivationTree:
         node = find_cycle(parents, self.root, parents)
         if node is not None:
             raise GrammarFormatError(f"cycle through instance {node!r}")
+        self._valid = (self.root, dict(self.instances), list(self.steps))
+
+    def set_occurrences(self) -> set[str]:
+        """The instances an ``adjoin_set`` step attaches: each names a tree
+        set, and every other instance names an elementary tree."""
+        return {s.child for s in self.steps if s.op == "adjoin_set"}
 
     def _fold(self, combine):
         """Fold the tree bottom-up from the root, with an explicit
@@ -310,7 +322,7 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
     """Replay a derivation tree; returns the derived tree and its yield."""
     script.validate()
 
-    set_occurrences = {s.child for s in script.steps if s.op == "adjoin_set"}
+    set_occurrences = script.set_occurrences()
 
     def build(instance: str, tree_id: str, kids: list) -> PhraseTree | TreeSet | TagError:
         # A fault is returned, not raised, and raised by the step that
@@ -351,15 +363,18 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
     derived = script._fold(build)
     if isinstance(derived, TagError):
         raise derived
-    leaves = frontier(derived.root)
-    open_leaves = [
-        f"{format_address(a)} ({n.kind} {n.label!r})"
-        for a, n in leaves
-        if n.kind in (SUBSTITUTION, FOOT)
-    ]
-    if open_leaves:
-        raise IncompleteDerivation("unfilled frontier nodes: " + ", ".join(open_leaves))
-    return derived, " ".join(n.label for _, n in leaves if n.kind in WORD_KINDS)
+    words = []
+    for node in walk_nodes(derived.root):
+        if node.kind in WORD_KINDS:
+            words.append(node.label)
+        elif node.kind in (SUBSTITUTION, FOOT):  # addresses only for the message
+            open_leaves = [
+                f"{format_address(a)} ({n.kind} {n.label!r})"
+                for a, n in frontier(derived.root)
+                if n.kind in (SUBSTITUTION, FOOT)
+            ]
+            raise IncompleteDerivation("unfilled frontier nodes: " + ", ".join(open_leaves))
+    return derived, " ".join(words)
 
 
 _COMMENT_RE = re.compile(r"(?:^|\s)#")

@@ -22,12 +22,24 @@ Covert nodes contribute nothing and are invisible to the guards.
 
 ``linearize`` and ``segment_pairs`` share one stack-based post-order
 visit over the tree's head -> dependents index, so depth is bounded by
-memory, not by the interpreter's recursion limit.  Each node's overt
-dependents are listed once and shared by rule matching, ``dep`` binding
-and composition.  The visit drops each dependent's pair once its head's
-pair is built, which keeps memory linear in the tree's size even on deep
-chains; ``linearize`` reads the root's pair and ``segment_pairs`` keeps
-every pair.
+memory, not by the interpreter's recursion limit.  The visit drops each
+dependent's pair once its head's pair is built, which keeps memory
+linear in the tree's size even on deep chains; ``linearize`` reads the
+root's pair and ``segment_pairs`` keeps every pair.
+
+The rule is decided once per node shape in each call, and that is
+exact.  The guards and terms read only the head's class, its lexeme
+(through ``head.lex`` atoms), and the arc labels and classes of its
+overt dependents, and ``validate`` refuses two actants with the same
+index, so the rule, the bound ``dep`` and the places each segment's
+words come from (a *plan*) follow from the shape: the head's class, its
+lexeme where a ``head.lex`` atom names it, the dependents' labels in
+arc order, and their classes where an ``exists`` atom is restricted by
+class.  The first node of each shape is planned by the same code as
+``linearize_node``, with every check (``NoRule``, ``AmbiguousRule``,
+``dep`` binding, each segment placed exactly once); later nodes of that
+shape compose their pair from the plan.  The plans are dropped when the
+call returns.
 """
 from __future__ import annotations
 
@@ -176,54 +188,65 @@ def parse_rules(text: str) -> RuleSet:
     return RuleSet(rules, classes)
 
 
-def _overt_deps(
-    tree: DependencyTree, index: dict[str, list[tuple[str, str]]], node_id: str
-) -> list[tuple[str, str]]:
-    return [(dep, label) for dep, label in index.get(node_id, ()) if not tree.nodes[dep].covert]
+def _overt_index(tree: DependencyTree) -> dict[str, list[tuple[str, str]]]:
+    """Head -> its overt dependents, (dependent, label) in arc order: the
+    tree's own index when no node is covert."""
+    nodes, index = tree.nodes, tree.dependent_index()
+    if not any(node.covert for node in nodes.values()):
+        return index
+    return {
+        head: [(dep, label) for dep, label in deps if not nodes[dep].covert]
+        for head, deps in index.items()
+    }
 
 
-def _exists_matches(
-    cond: Condition, deps: list[tuple[str, str]], tree: DependencyTree, ruleset: RuleSet
-) -> list[str]:
-    out = []
-    for dep, label in deps:
-        if cond.rel is not None and label != cond.rel:
-            continue
-        if cond.dep_cat is not None and ruleset.cat_of(tree.nodes[dep].lexeme) != cond.dep_cat:
-            continue
-        out.append(dep)
-    return out
+# (arc label, class of the dependent) of each overt dependent, in arc order
+_Shape = tuple[tuple[str, str | None], ...]
 
 
-def _rule_matches(
-    rule: SyntagmRule,
-    tree: DependencyTree,
-    lexeme: str,
-    deps: list[tuple[str, str]],
-    ruleset: RuleSet,
-) -> bool:
+def _shape(tree: DependencyTree, deps: list[tuple[str, str]], ruleset: RuleSet) -> _Shape:
+    """A node's dependents as far as the guards and the terms read them."""
+    nodes, cat_of = tree.nodes, ruleset.cat_of
+    return tuple([(label, cat_of(nodes[dep].lexeme)) for dep, label in deps])
+
+
+def _exists_matches(cond: Condition, shape: _Shape) -> list[int]:
+    """Positions of the dependents an ``exists`` atom's restrictions admit."""
+    return [
+        i
+        for i, (label, cat) in enumerate(shape)
+        if (cond.rel is None or label == cond.rel)
+        and (cond.dep_cat is None or cat == cond.dep_cat)
+    ]
+
+
+def _rule_matches(rule: SyntagmRule, lexeme: str, cat: str | None, shape: _Shape) -> bool:
     for cond in rule.conditions:
         if cond.kind == "any":
             holds = True
         elif cond.kind == "head_cat":
-            holds = ruleset.cat_of(lexeme) == cond.value
+            holds = cat == cond.value
         elif cond.kind == "head_lex":
             holds = lexeme == cond.value
         else:
-            holds = bool(_exists_matches(cond, deps, tree, ruleset))
+            holds = bool(_exists_matches(cond, shape))
         if holds == cond.negated:
             return False
     return True
 
 
-def _bound_dep(
-    rule: SyntagmRule,
-    tree: DependencyTree,
-    node_id: str,
-    deps: list[tuple[str, str]],
-    ruleset: RuleSet,
-) -> str | None:
-    """The dependent that ``dep.y1``/``dep.y2`` refer to.
+def _matching_rule(ruleset: RuleSet, lexeme: str, shape: _Shape) -> SyntagmRule:
+    cat = ruleset.cat_of(lexeme)
+    matches = [r for r in ruleset.rules if _rule_matches(r, lexeme, cat, shape)]
+    if not matches:
+        raise NoRule(f"no syntagm rule matches node {lexeme!r}")
+    if len(matches) > 1:
+        raise AmbiguousRule(lexeme, [r.name for r in matches])
+    return matches[0]
+
+
+def _bound_dep(rule: SyntagmRule, lexeme: str, shape: _Shape) -> int | None:
+    """The position of the dependent that ``dep.y1``/``dep.y2`` refer to.
 
     Taken from the most specific positive ``exists`` atom (category
     restriction beats arc-label restriction beats bare ``exists dep``);
@@ -232,16 +255,16 @@ def _bound_dep(
     atoms = [c for c in rule.conditions if c.kind == "exists" and not c.negated]
     atoms.sort(key=lambda c: (c.dep_cat is None, c.rel is None))
     for cond in atoms:
-        matches = _exists_matches(cond, deps, tree, ruleset)
+        matches = _exists_matches(cond, shape)
         if len(matches) == 1:
             return matches[0]
         if len(matches) > 1:
             raise TagError(
                 f"rule {rule.name!r}: 'dep' is ambiguous at node "
-                f"{tree.nodes[node_id].lexeme!r} ({len(matches)} candidates)"
+                f"{lexeme!r} ({len(matches)} candidates)"
             )
-    if len(deps) == 1:
-        return deps[0][0]
+    if len(shape) == 1:
+        return 0
     return None
 
 
@@ -254,14 +277,74 @@ def match_rule(
     """The unique rule matching a node; ``deps`` are its overt dependents
     when the caller has them already."""
     if deps is None:
-        deps = _overt_deps(tree, tree.dependent_index(), node_id)
-    lexeme = tree.nodes[node_id].lexeme
-    matches = [r for r in ruleset.rules if _rule_matches(r, tree, lexeme, deps, ruleset)]
-    if not matches:
-        raise NoRule(f"no syntagm rule matches node {lexeme!r}")
-    if len(matches) > 1:
-        raise AmbiguousRule(lexeme, [r.name for r in matches])
-    return matches[0]
+        deps = _overt_index(tree).get(node_id, [])
+    return _matching_rule(ruleset, tree.nodes[node_id].lexeme, _shape(tree, deps, ruleset))
+
+
+# A plan holds, for Y1 and for Y2, the places its words are read from in
+# turn: place 0 is the head word, place 1 + 2i + s is segment s (0 for Y1,
+# 1 for Y2) of the node's i-th overt dependent.
+_Plan = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _plan(ruleset: RuleSet, lexeme: str, deps: list[tuple[str, str]], shape: _Shape) -> _Plan:
+    """Decide the rule at a node and where each of its segments' words come
+    from, checking that the head and each dependent segment are placed
+    exactly once.  Reads only the node's lexeme and ``shape``; ``deps``
+    (the overt dependents) name the dependents in errors."""
+    rule = _matching_rule(ruleset, lexeme, shape)
+    uses_dep = any(t in ("dep.y1", "dep.y2") for t in rule.y1 + rule.y2)
+    bound = _bound_dep(rule, lexeme, shape) if uses_dep else None
+    if uses_dep and bound is None:
+        raise TagError(
+            f"rule {rule.name!r} uses 'dep' but node {lexeme!r} "
+            "has no unique dependent to bind"
+        )
+
+    def places(term: str) -> list[int]:
+        if term == "head":
+            return [0]
+        if term in ("dep.y1", "dep.y2"):
+            return [1 + 2 * bound + (term == "dep.y2")]
+        if term == "nominals(byActant)":
+            actants = sorted(
+                (int(label), i)
+                for i, (label, _) in enumerate(shape)
+                if ACTANT_RE.match(label) and i != bound
+            )
+            return [p for _, i in actants for p in (1 + 2 * i, 2 + 2 * i)]
+        if term.startswith("deps("):
+            wanted = term[5:-1]
+            return [
+                p for i, (label, _) in enumerate(shape) if label == wanted
+                for p in (1 + 2 * i, 2 + 2 * i)
+            ]
+        raise GrammarFormatError(f"unknown term {term!r}")
+
+    y1 = tuple(p for term in rule.y1 for p in places(term))
+    y2 = tuple(p for term in rule.y2 for p in places(term))
+    # The head word, and each dependent's Y1 and Y2, exactly once.
+    counts = [0] * (1 + 2 * len(deps))
+    for p in y1 + y2:
+        counts[p] += 1
+    if counts[0] != 1:
+        raise TagError(
+            f"rule {rule.name!r} places the head word {counts[0]} times at {lexeme!r}"
+        )
+    off_count = sorted({deps[(p - 1) // 2][0] for p in range(1, len(counts)) if counts[p] != 1})
+    if off_count:
+        raise TagError(
+            f"rule {rule.name!r} at {lexeme!r}: segments of {off_count} "
+            "not placed exactly once"
+        )
+    return y1, y2
+
+
+def _compose(plan: _Plan, parts: list[tuple[str, ...]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A node's (Y1, Y2) by its plan; ``parts`` are the head word, then each
+    overt dependent's Y1 and Y2, in arc order."""
+    y1, y2 = plan
+    return tuple([w for p in y1 for w in parts[p]]), tuple([w for p in y2 for w in parts[p]])
 
 
 def linearize_node(
@@ -275,109 +358,69 @@ def linearize_node(
     already-computed segment pairs (and, optionally, its overt
     dependents)."""
     if deps is None:
-        deps = _overt_deps(tree, tree.dependent_index(), node_id)
-    rule = match_rule(tree, node_id, ruleset, deps)
+        deps = _overt_index(tree).get(node_id, [])
     lexeme = tree.nodes[node_id].lexeme
-    uses_dep = any(t in ("dep.y1", "dep.y2") for t in rule.y1 + rule.y2)
-    bound = _bound_dep(rule, tree, node_id, deps, ruleset) if uses_dep else None
-    if uses_dep and bound is None:
-        raise TagError(
-            f"rule {rule.name!r} uses 'dep' but node {lexeme!r} "
-            "has no unique dependent to bind"
-        )
-    # Each dependent's Y1 and Y2 must each be placed exactly once.
-    used: dict[tuple[str, str], int] = {(d, s): 0 for d, _ in deps for s in ("y1", "y2")}
-    head_used = 0
-
-    def eval_term(term: str) -> list[str]:
-        nonlocal head_used
-        if term == "head":
-            head_used += 1
-            return [lexeme]
-        if term in ("dep.y1", "dep.y2"):
-            pair = dep_pairs[bound]
-            segment = term[4:]
-            used[(bound, segment)] += 1
-            return list(getattr(pair, segment))
-        if term == "nominals(byActant)":
-            out = []
-            actants = [
-                (int(label), dep)
-                for dep, label in deps
-                if ACTANT_RE.match(label)
-            ]
-            for _, dep in sorted(actants):
-                if dep == bound:
-                    continue
-                used[(dep, "y1")] += 1
-                used[(dep, "y2")] += 1
-                out.extend(dep_pairs[dep].words())
-            return out
-        if term.startswith("deps("):
-            label_wanted = term[5:-1]
-            out = []
-            for dep, label in deps:
-                if label == label_wanted:
-                    used[(dep, "y1")] += 1
-                    used[(dep, "y2")] += 1
-                    out.extend(dep_pairs[dep].words())
-            return out
-        raise GrammarFormatError(f"unknown term {term!r}")
-
-    y1 = [w for term in rule.y1 for w in eval_term(term)]
-    y2 = [w for term in rule.y2 for w in eval_term(term)]
-
-    if head_used != 1:
-        raise TagError(
-            f"rule {rule.name!r} places the head word {head_used} times at {lexeme!r}"
-        )
-    off_count = sorted({d for (d, _), n in used.items() if n != 1})
-    if off_count:
-        raise TagError(
-            f"rule {rule.name!r} at {lexeme!r}: segments of {off_count} "
-            "not placed exactly once"
-        )
-    return SegmentPair(tuple(y1), tuple(y2))
+    plan = _plan(ruleset, lexeme, deps, _shape(tree, deps, ruleset))
+    parts = [(lexeme,)]
+    for dep, _ in deps:
+        parts += (dep_pairs[dep].y1, dep_pairs[dep].y2)
+    return SegmentPair(*_compose(plan, parts))
 
 
-def _postorder(tree: DependencyTree) -> Iterator[tuple[str, list[tuple[str, str]]]]:
-    """(node, overt dependents) for the root and every overt node below it
-    through overt nodes, dependents first and in arc order, without
-    recursion."""
-    index = tree.dependent_index()
-    stack: list[tuple[str, list[tuple[str, str]] | None]] = [(tree.root, None)]
+def _postorder(index: dict[str, list[tuple[str, str]]], root: str) -> list[str]:
+    """The root and every node below it in ``index``, dependents first and
+    in arc order, without recursion: the reverse of a preorder that visits
+    later dependents first."""
+    order = []
+    stack = [root]
     while stack:
-        node_id, deps = stack.pop()
-        if deps is not None:
-            yield node_id, deps
-            continue
-        deps = _overt_deps(tree, index, node_id)
-        stack.append((node_id, deps))
-        stack.extend((dep, None) for dep, _ in reversed(deps))
+        node_id = stack.pop()
+        order.append(node_id)
+        stack += [dep for dep, _ in index.get(node_id, ())]
+    order.reverse()
+    return order
 
 
-def _pairs(tree: DependencyTree, ruleset: RuleSet) -> Iterator[tuple[str, SegmentPair]]:
-    """Validate ``tree``, then yield (node, segment pair) in post-order;
-    errors name the node path, and a pair is dropped once its head's is built."""
+def _pairs(
+    tree: DependencyTree, ruleset: RuleSet
+) -> Iterator[tuple[str, tuple[tuple[str, ...], tuple[str, ...]]]]:
+    """Validate ``tree``, then yield (node, (Y1, Y2)) for the root and every
+    overt node below it through overt nodes, in post-order; errors name
+    the node path, and a pair is dropped once its head's is built.  Each
+    node shape (see the module docstring) is planned once."""
     tree.validate()
-    pairs: dict[str, SegmentPair] = {}
-    for node_id, deps in _postorder(tree):
-        try:
-            pair = linearize_node(tree, node_id, pairs, ruleset, deps)
-        except TagError as exc:
-            exc.args = (f"{exc.args[0]} (at {_path(tree, node_id)})",) + exc.args[1:]
-            raise
+    nodes, cat_of = tree.nodes, ruleset._class_of.get
+    conditions = [c for rule in ruleset.rules for c in rule.conditions]
+    named = {c.value for c in conditions if c.kind == "head_lex"}
+    by_class = any(c.kind == "exists" and c.dep_cat is not None for c in conditions)
+    plans: dict[tuple, _Plan] = {}
+    done: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    index = _overt_index(tree)
+    for node_id in _postorder(index, tree.root):
+        deps = index.get(node_id, [])
+        lexeme = nodes[node_id].lexeme
+        key = (cat_of(lexeme), lexeme if lexeme in named else None, *[label for _, label in deps])
+        if by_class:
+            key += tuple([cat_of(nodes[dep].lexeme) for dep, _ in deps])
+        plan = plans.get(key)
+        if plan is None:
+            try:
+                plan = plans[key] = _plan(ruleset, lexeme, deps, _shape(tree, deps, ruleset))
+            except TagError as exc:
+                exc.args = (f"{exc.args[0]} (at {_path(tree, node_id)})",) + exc.args[1:]
+                raise
+        parts = [(lexeme,)]
         for dep, _ in deps:
-            del pairs[dep]
-        pairs[node_id] = pair
+            parts += done.pop(dep)
+        pair = done[node_id] = _compose(plan, parts)
         yield node_id, pair
 
 
 def linearize(tree: DependencyTree, ruleset: RuleSet) -> list[str]:
     """Compute the surface word sequence (DMorphR) of a dependency tree."""
-    for _, root_pair in _pairs(tree, ruleset):
+    for _, (y1, y2) in _pairs(tree, ruleset):
         pass  # post-order: the root's pair comes last
-    words = root_pair.words()
+    words = list(y1 + y2)
     overt_count = len(tree.overt_nodes())
     if len(words) != overt_count:
         raise TagError(
@@ -388,7 +431,7 @@ def linearize(tree: DependencyTree, ruleset: RuleSet) -> list[str]:
 
 def segment_pairs(tree: DependencyTree, ruleset: RuleSet) -> dict[str, SegmentPair]:
     """All intermediate segment pairs, keyed by node id."""
-    return dict(_pairs(tree, ruleset))
+    return {node_id: SegmentPair(*pair) for node_id, pair in _pairs(tree, ruleset)}
 
 
 def _path(tree: DependencyTree, node_id: str) -> str:

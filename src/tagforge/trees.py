@@ -137,17 +137,26 @@ def walk(root: TreeNode) -> Iterator[tuple[Address, TreeNode]]:
             stack.append((address + (i,), node.children[i - 1]))
 
 
+def walk_nodes(root: TreeNode) -> Iterator[TreeNode]:
+    """The nodes of ``walk``, in the same order, without their addresses."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(node.children)
+
+
 def frontier(root: TreeNode) -> list[tuple[Address, TreeNode]]:
     return [(a, n) for a, n in walk(root) if n.is_leaf()]
 
 
 def yield_words(root: TreeNode) -> list[str]:
     """Surface words on the frontier; substitution and foot nodes are skipped."""
-    return [n.label for _, n in frontier(root) if n.kind in WORD_KINDS]
+    return [n.label for n in walk_nodes(root) if n.kind in WORD_KINDS]
 
 
 def count_nodes(root: TreeNode) -> int:
-    return sum(1 for _ in walk(root))
+    return sum(1 for _ in walk_nodes(root))
 
 
 def format_address(address: Address) -> str:

@@ -153,6 +153,19 @@ def test_export_dot(capsys):
         assert label in out
 
 
+def test_export_dot_labels_a_tree_named_like_a_set():
+    # The grammar's set ``ms`` is renamed, in code, to ``s``, the id of the
+    # auxiliary tree the script adjoins; the node is labeled by that
+    # tree's anchor, since no adjoin_set step attaches it.
+    from tagforge.cli import _render, _structure
+
+    grammar = tf.parse_grammar(SET_ID_CLASH.replace("set s {", "set ms {"))
+    grammar.tree_sets["s"] = grammar.tree_sets.pop("ms")
+    script = tf.parse_script("use a; subst n -> a @ 1 label 1; adjoin s -> a @ 2 label ATTR", grammar)
+    out = _render("derivation", "dot", _structure("derivation", grammar, script))
+    assert 'n2 [label="z"];' in out
+
+
 def test_domain_error_exit_1(tmp_path, capsys):
     script = tmp_path / "bad.drv"
     script.write_text(

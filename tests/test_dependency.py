@@ -439,3 +439,100 @@ def test_dependency_without_root_node():
         tf.parse_dependency("dep\n")
     with pytest.raises(GrammarFormatError, match="no root node"):
         tf.parse_dependency("dep  # nothing but a comment\n")
+
+
+# -- set occurrences ---------------------------------------------------
+
+
+def tree_named_like_a_set():
+    """A grammar whose set ``ms`` is renamed, in code, to ``s``, the id of
+    an auxiliary tree, and a script that adjoins that tree."""
+    from test_grammar import SET_ID_CLASH
+
+    grammar = tf.parse_grammar(SET_ID_CLASH.replace("set s {", "set ms {"))
+    grammar.tree_sets["s"] = grammar.tree_sets.pop("ms")
+    script = tf.parse_script("use a; subst n -> a @ 1 label 1; adjoin s -> a @ 2 label ATTR", grammar)
+    return grammar, script
+
+
+def test_plain_adjunction_of_a_tree_named_like_a_set():
+    # Only an adjoin_set step makes an instance a set occurrence: ``s`` is
+    # adjoined as the tree it names, so its node carries that tree's anchor.
+    grammar, script = tree_named_like_a_set()
+    assert tf.run_derivation(grammar, script)[1] == "x z v"
+    dep = tf.derivation_to_dependency(script, grammar)
+    assert serialize_dependency(dep) == "dep v { x:1 z:ATTR }\n"
+
+
+# -- validation is redone after a change -------------------------------
+
+
+def _outcome(fn, *args):
+    """What a call gives: its result, or its error's type and message."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc).__name__, str(exc)
+
+
+DEP_MUTATIONS = {
+    "second-head": lambda t: t.arcs.append(("b", "c", "ATTR")),
+    "cycle": lambda t: t.arcs.__setitem__(0, ("c", "a", "1")),
+    "deleted-node": lambda t: t.nodes.pop("c"),
+    "missing-root": lambda t: setattr(t, "root", "gone"),
+    "same-actant-index": lambda t: t.arcs.__setitem__(2, ("r", "b", "1")),
+}
+
+
+@pytest.mark.parametrize("mutation", DEP_MUTATIONS, ids=list(DEP_MUTATIONS))
+def test_changed_dependency_tree_is_checked_again(mutation):
+    rules = tf.parse_rules(corpus.read("english_projective.syn").replace("likes", "likes r a b c"))
+    tree = tf.parse_dependency("dep r { a:1 { c:2 } b:2 }")
+    order = ["a", "c", "r", "b"]
+    calls = {
+        "is_projective": lambda t: tf.is_projective(t, order),
+        "linearize": lambda t: tf.linearize(t, rules),
+        "serialize_dependency": serialize_dependency,
+        "dependency_to_json": dependency_to_json,
+    }
+    tree.validate()
+    for call in calls.values():
+        assert _outcome(call, tree)[0] == "ok"
+    DEP_MUTATIONS[mutation](tree)
+    fresh = DependencyTree(tree.root, dict(tree.nodes), list(tree.arcs), tree.order)
+    for name, call in calls.items():
+        expected = _outcome(call, fresh)
+        assert _outcome(call, tree) == expected, name
+        if name != "dependency_to_json":  # the one call that does not validate
+            assert expected[0] == "GrammarFormatError", name
+
+
+DERIVATION_MUTATIONS = {
+    "second-parent": lambda s: s.steps.append(
+        DerivationStep("adjoin", "alpha2", "alpha3", (), "ATTR")
+    ),
+    "unreachable-parent": lambda s: s.steps.append(
+        DerivationStep("adjoin", "beta1#2", "ghost", (), "ATTR")
+    ),
+    "missing-root": lambda s: setattr(s, "root", "gone"),
+}
+
+
+@pytest.mark.parametrize("mutation", DERIVATION_MUTATIONS, ids=list(DERIVATION_MUTATIONS))
+def test_changed_derivation_tree_is_checked_again(english, mutation):
+    script = load_script("fig7.drv", english)
+    calls = {
+        "run_derivation": lambda s: tf.run_derivation(english, s)[1],
+        "derivation_to_dependency": lambda s: serialize_dependency(
+            tf.derivation_to_dependency(s, english)
+        ),
+    }
+    script.validate()
+    for call in calls.values():
+        assert _outcome(call, script)[0] == "ok"
+    DERIVATION_MUTATIONS[mutation](script)
+    fresh = DerivationTree(script.root, dict(script.instances), list(script.steps))
+    for name, call in calls.items():
+        expected = _outcome(call, fresh)
+        assert expected[0] == "GrammarFormatError", name
+        assert _outcome(call, script) == expected, name

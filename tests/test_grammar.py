@@ -276,7 +276,7 @@ def test_walk_deep_chain_without_recursion():
 
 
 def test_walk_is_preorder():
-    from tagforge.trees import walk
+    from tagforge.trees import walk, walk_nodes
 
     tree = tf.parse_grammar("tree a initial " + ALPHA1_SRC).trees["a"]
     assert [(a, n.label) for a, n in walk(tree.root)] == [
@@ -287,3 +287,4 @@ def test_walk_is_preorder():
         ((2, 1, 1), "likes"),
         ((2, 2), "NP"),
     ]
+    assert [n.label for n in walk_nodes(tree.root)] == ["S", "NP", "VP", "V", "likes", "NP"]

@@ -224,3 +224,151 @@ def test_class_lookup_takes_first_listing_class():
     assert rules.cat_of("Jan") == "N"
     assert rules.cat_of("zien") == "V"
     assert rules.cat_of("leren") is None
+
+
+# -- one plan per node shape -------------------------------------------
+
+# Rules that read a head's lexeme (head.lex), a dependent's arc label and
+# class together (exists dep.rel=L with dep.cat=C), and the bound
+# dependent's two segments apart (dep.y1, dep.y2).
+SHAPED_RULES = """
+class V = see help let swim
+class N = Ann Bob kids
+class P = to
+rule let_clause when head.lex=let and exists dep.rel=2 with dep.cat=V {
+  y1 = nominals(byActant) ;
+  y2 = dep.y1 ++ head ++ dep.y2 ++ deps(ATTR)
+}
+rule verb_clause when head.cat=V and not head.lex=let and exists dep.rel=2 with dep.cat=V {
+  y1 = nominals(byActant) ++ dep.y1 ;
+  y2 = head ++ dep.y2 ++ deps(ATTR)
+}
+rule let_plain when head.lex=let and not exists dep.rel=2 with dep.cat=V {
+  y1 = nominals(byActant) ++ head ;
+  y2 = deps(ATTR)
+}
+rule verb_plain when head.cat=V and not head.lex=let and not exists dep.rel=2 with dep.cat=V {
+  y1 = nominals(byActant) ;
+  y2 = head ++ deps(ATTR)
+}
+rule noun when head.cat=N { y1 = head ; y2 = deps(ATTR) }
+rule prep when head.cat=P and exists dep { y1 = head ++ dep.y1 ; y2 = dep.y2 }
+"""
+
+# Per rule file: the words of each class, and the dependents a head of
+# each class may take, as (arc label, class) lists the rules accept; a
+# head takes each list with equal odds.  "PRO" is a covert dependent.
+FRAMES = {
+    "dutch.syn": (
+        {"V": "zien zag helpen leren zwemmen", "N": "Wim Jan Marie kinderen",
+         "DET": "de", "CONJ": "omdat"},
+        {
+            "V": [[], [("1", "N")], [("1", "N"), ("2", "N")], [("1", "N"), ("2", "V")],
+                  [("2", "V")], [("1", "PRO"), ("2", "V")], [("1", "N"), ("2", "N"), ("3", "V")]],
+            "N": [[], [], [("ATTR", "DET")], [("ATTR", "N")], [("ATTR", "DET"), ("ATTR", "N")]],
+            "DET": [[]],
+            "CONJ": [[("1", "V")]],
+        },
+    ),
+    "english_projective.syn": (
+        {"V": "likes", "N": "John Lyn", "ADV": "really"},
+        {
+            "V": [[], [("1", "N")], [("1", "N"), ("2", "V")], [("1", "V"), ("2", "V")], [("2", "N"), ("1", "N")],
+                  [("1", "N"), ("ATTR", "ADV"), ("2", "V")], [("ATTR", "ADV"), ("2", "V")],
+                  [("ATTR", "ADV"), ("1", "N"), ("ATTR", "ADV"), ("2", "V")]],
+            "N": [[]],
+            "ADV": [[]],
+        },
+    ),
+    "shaped": (
+        {"V": "see help let let swim", "N": "Ann Bob kids", "P": "to"},
+        {
+            "V": [[], [("1", "N")], [("1", "N"), ("2", "N")], [("1", "N"), ("2", "V")], [("2", "V")],
+                  [("2", "N"), ("1", "N")], [("1", "N"), ("ATTR", "P")], [("ATTR", "P"), ("2", "V"), ("1", "N")],
+                  [("3", "N"), ("1", "N"), ("2", "N")], [("1", "V"), ("2", "V")]],
+            "N": [[], [("ATTR", "P")]],
+            "P": [[("1", "N")]],
+        },
+    ),
+}
+
+
+def random_dep_text(rng, words, frames, size):
+    """A random tree of at most about ``size`` nodes, rooted in a V, in
+    the nested-block format.  Once the size is spent, or 40 levels down,
+    heads take their shortest dependent list."""
+    def node(cls):
+        return "(PRO)" if cls == "PRO" else rng.choice(words[cls].split())
+
+    out = ["dep", node("V")]
+    budget = [size - 1]
+
+    def expand(cls, depth):
+        choices = frames.get(cls, [[]])
+        fitting = [f for f in choices if len(f) <= budget[0]] if depth < 40 else []
+        frame = rng.choice(fitting) if fitting else min(choices, key=len)
+        if not frame:
+            return
+        budget[0] -= len(frame)
+        out.append("{")
+        for label, dep_cls in frame:
+            out.append(f"{node(dep_cls)}:{label}")
+            expand(dep_cls, depth + 1)
+        out.append("}")
+
+    expand("V", 0)
+    return " ".join(out)
+
+
+def node_by_node_pairs(tree, rules):
+    """Segment pairs from ``linearize_node`` at each overt node in
+    post-order, dependents in arc order."""
+    pairs = {}
+    stack = [(tree.root, False)]
+    while stack:
+        node_id, done = stack.pop()
+        if done:
+            pairs[node_id] = tf.linearize_node(tree, node_id, pairs, rules)
+            continue
+        stack.append((node_id, True))
+        stack.extend(
+            (dep, False) for dep, _ in reversed(tree.dependents(node_id))
+            if not tree.nodes[dep].covert
+        )
+    return pairs
+
+
+@pytest.mark.parametrize("rule_file", sorted(FRAMES))
+def test_shape_plans_match_node_by_node(rule_file):
+    import random
+
+    text = SHAPED_RULES if rule_file == "shaped" else corpus.read(rule_file)
+    rules = tf.parse_rules(text)
+    words, frames = FRAMES[rule_file]
+    rng = random.Random(f"shape-plans {rule_file}")
+    sizes = []
+    for _ in range(70):
+        tree = tf.parse_dependency(random_dep_text(rng, words, frames, rng.randrange(1, 60)))
+        expected = node_by_node_pairs(tree, rules)
+        assert tf.segment_pairs(tree, rules) == expected
+        assert tf.linearize(tree, rules) == expected[tree.root].words()
+        sizes.append(len(expected))
+    assert sum(sizes) > 400  # trees big enough for shapes to repeat
+
+
+def test_head_lexeme_named_by_a_rule_is_part_of_the_shape():
+    # see and let have the same class and the same dependents (one
+    # actant 1), but only let is named by a head.lex atom: each gets its
+    # own rule whichever the post-order meets first.
+    rules = tf.parse_rules(
+        "class V = see let\n"
+        "rule let when head.lex=let { y1 = head ++ deps(1) ; y2 = empty }\n"
+        "rule other when head.cat=V and not head.lex=let { y1 = deps(1) ++ head ; y2 = empty }\n"
+        "rule noun when not head.cat=V { y1 = head ; y2 = empty }\n"
+    )
+    tree = tf.parse_dependency("dep see { let:1 { Bob:1 } }")
+    pairs = tf.segment_pairs(tree, rules)
+    assert pairs["let"].as_strings() == ("let Bob", "")
+    assert pairs["see"].as_strings() == ("let Bob see", "")
+    tree = tf.parse_dependency("dep let { see:1 { Bob:1 } }")
+    assert tf.linearize(tree, rules) == ["let", "Bob", "see"]
