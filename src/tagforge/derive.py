@@ -96,20 +96,15 @@ class PhraseTree:
         return all(n.kind not in (SUBSTITUTION, FOOT) for n in walk_nodes(self.root))
 
 
-def _as_phrase(tree: ElementaryTree | PhraseTree, instance: str | None = None) -> PhraseTree:
+def _as_phrase(tree: ElementaryTree | PhraseTree) -> PhraseTree:
     if isinstance(tree, ElementaryTree):
-        return PhraseTree.from_elementary(tree, instance)
+        return PhraseTree.from_elementary(tree)
     return tree
 
 
-def substitute(
-    target: PhraseTree,
-    site: Address,
-    tree: ElementaryTree | PhraseTree,
-    instance: str | None = None,
-) -> PhraseTree:
+def substitute(target: PhraseTree, site: Address, tree: ElementaryTree | PhraseTree) -> PhraseTree:
     """Append an initial tree at a substitution node of ``target``."""
-    sub = _as_phrase(tree, instance)
+    sub = _as_phrase(tree)
     if isinstance(tree, ElementaryTree) and tree.shape != INITIAL:
         raise WrongShape(f"cannot substitute auxiliary tree {tree.id!r}")
     if sub.foot_address() is not None:
@@ -131,16 +126,11 @@ def substitute(
     return PhraseTree(new_root, prov, target.feet)
 
 
-def adjoin(
-    target: PhraseTree,
-    site: Address,
-    aux: ElementaryTree | PhraseTree,
-    instance: str | None = None,
-) -> PhraseTree:
+def adjoin(target: PhraseTree, site: Address, aux: ElementaryTree | PhraseTree) -> PhraseTree:
     """Splice an auxiliary tree in at an interior node of ``target``."""
     if isinstance(aux, ElementaryTree) and aux.shape != AUXILIARY:
         raise WrongShape(f"cannot adjoin {aux.shape} tree {aux.id!r}")
-    aux_pt = _as_phrase(aux, instance)
+    aux_pt = _as_phrase(aux)
     foot = aux_pt.foot_address()
     if foot is None:
         raise WrongShape("adjoined tree has no foot node")
@@ -203,12 +193,37 @@ def adjoin_set(
     return result
 
 
+# Script keyword -> derivation op; the ops are the values.
+_OPS = {"subst": "substitute", "adjoin": "adjoin", "adjoinset": "adjoin_set"}
+_KEYWORDS = {op: keyword for keyword, op in _OPS.items()}
+
+
 class DerivationStep(NamedTuple):
     op: str  # "substitute" | "adjoin" | "adjoin_set"
     child: str  # instance name (set id for adjoin_set)
     parent: str  # instance name
     site: Address | tuple[Address, ...]  # one address, or several for adjoin_set
     arc_label: str  # "1", "2", ..., "ATTR" or "S"
+
+
+def site_texts(op: str, site: Address | tuple[Address, ...]) -> list[str]:
+    """A step's site as address texts: one, or one per set member for
+    ``adjoin_set``."""
+    if op == "adjoin_set":
+        return [format_address(a) for a in site]
+    return [format_address(site)]
+
+
+def site_from_texts(
+    op: str, texts: list[str], line: int | None = None
+) -> Address | tuple[Address, ...]:
+    """The site ``site_texts`` wrote for ``op``."""
+    sites = tuple(parse_address(t) for t in texts)
+    if op == "adjoin_set":
+        return sites
+    if len(sites) != 1:
+        raise GrammarFormatError("subst/adjoin take exactly one site", line)
+    return sites[0]
 
 
 @dataclass
@@ -230,22 +245,31 @@ class DerivationTree:
 
     def validate(self) -> None:
         """Check that the steps form one tree over the instances from
-        ``root``.  A tree checked once is checked again only after its
+        ``root``: every step has a known op and attaches a declared
+        instance, and every instance but the root is attached by exactly
+        one step.  A tree checked once is checked again only after its
         root, instances or steps have changed."""
         if self._valid is not None and self._valid == (self.root, self.instances, self.steps):
             return
         if self.root not in self.instances:
             raise GrammarFormatError(f"root instance {self.root!r} not declared")
         parents = {}
-        for step in self.steps:
+        for i, step in enumerate(self.steps):
+            if step.op not in _KEYWORDS:
+                raise GrammarFormatError(f"step {i}: unknown op {step.op!r}")
             if step.child in parents:
                 raise GrammarFormatError(f"instance {step.child!r} has two parents")
             if step.child == self.root:
                 raise GrammarFormatError("root instance may not be a child")
+            if step.child not in self.instances:
+                raise GrammarFormatError(f"step {i}: instance {step.child!r} not declared")
             parents[step.child] = step.parent
         for step in self.steps:
             if step.parent != self.root and step.parent not in parents:
                 raise GrammarFormatError(f"step parent {step.parent!r} is unreachable")
+        if len(parents) != len(self.instances) - 1:
+            node = next(n for n in self.instances if n != self.root and n not in parents)
+            raise GrammarFormatError(f"instance {node!r} is attached by no step")
         # Every parent is now the root or a child, so each walk up ends.
         node = find_cycle(parents, self.root, parents)
         if node is not None:
@@ -346,12 +370,8 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
                         made = adjoin_set(made, sites, child)
                         continue
                     here = made.address_of(instance, step.site)
-                    if step.op == "substitute":
-                        made = substitute(made, here, child)
-                    elif step.op == "adjoin":
-                        made = adjoin(made, here, child)
-                    else:
-                        raise GrammarFormatError(f"unknown op {step.op!r}")
+                    splice = substitute if step.op == "substitute" else adjoin
+                    made = splice(made, here, child)
                 except ScriptError:
                     raise
                 except TagError as exc:
@@ -379,7 +399,7 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
 
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 _STEP_RE = re.compile(
-    r"^(?P<op>subst|adjoin|adjoinset)\s+(?P<child>\S+?)(?:\s+as\s+(?P<alias>\S+))?"
+    rf"^(?P<op>{'|'.join(_OPS)})\s+(?P<child>\S+?)(?:\s+as\s+(?P<alias>\S+))?"
     r"\s*->\s*(?P<parent>\S+)\s*@\s*(?P<sites>[\d.,\s]+?)\s+label\s+(?P<label>\S+)$"
 )
 
@@ -422,7 +442,7 @@ def parse_script(text: str, grammar: Grammar | None = None) -> DerivationTree:
         m = _STEP_RE.match(stmt)
         if m is None:
             raise GrammarFormatError(f"cannot parse statement {stmt!r}", lineno)
-        op = {"subst": "substitute", "adjoin": "adjoin", "adjoinset": "adjoin_set"}[m["op"]]
+        op = _OPS[m["op"]]
         child_id = m["child"]
         alias = m["alias"] or child_id
         if alias in instances:
@@ -430,14 +450,7 @@ def parse_script(text: str, grammar: Grammar | None = None) -> DerivationTree:
                 f"instance {alias!r} already used; disambiguate with 'as'", lineno
             )
         instances[alias] = child_id
-        sites = tuple(parse_address(s) for s in m["sites"].split(","))
-        site: Address | tuple[Address, ...]
-        if op == "adjoin_set":
-            site = sites
-        else:
-            if len(sites) != 1:
-                raise GrammarFormatError("subst/adjoin take exactly one site", lineno)
-            site = sites[0]
+        site = site_from_texts(op, m["sites"].split(","), lineno)
         steps.append(DerivationStep(op, alias, m["parent"], site, m["label"]))
 
     if root is None:
@@ -464,12 +477,10 @@ def serialize_script(script: DerivationTree) -> str:
     else:
         lines.append(f"use {root_tree} as {script.root}")
     for step in script.steps:
-        op = {"substitute": "subst", "adjoin": "adjoin", "adjoin_set": "adjoinset"}[step.op]
         child_tree = script.instances[step.child]
         child = child_tree if step.child == child_tree else f"{child_tree} as {step.child}"
-        if step.op == "adjoin_set":
-            sites = ", ".join(format_address(a) for a in step.site)
-        else:
-            sites = format_address(step.site)
-        lines.append(f"{op} {child} -> {step.parent} @ {sites} label {step.arc_label}")
+        sites = ", ".join(site_texts(step.op, step.site))
+        lines.append(
+            f"{_KEYWORDS[step.op]} {child} -> {step.parent} @ {sites} label {step.arc_label}"
+        )
     return "\n".join(lines) + "\n"

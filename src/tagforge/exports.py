@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 
 from .dependency import DependencyTree, DepNode
-from .derive import DerivationStep, DerivationTree, PhraseTree
+from .derive import DerivationStep, DerivationTree, PhraseTree, site_from_texts, site_texts
 from .errors import GrammarFormatError, TagError
-from .trees import TreeNode, format_address, parse_address, walk
+from .trees import INTERIOR, TreeNode, format_address, parse_address, walk
 
 
 def _dot_escape(text: str) -> str:
@@ -24,6 +24,15 @@ def _dot(name: str, nodes, edges) -> str:
         lines.append(f"  {tail} -> {head}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _from_json(text: str, what: str, build):
+    """``build`` applied to the parsed JSON ``text``.  Text that is not
+    JSON, and JSON of the wrong shape, raise ``GrammarFormatError``."""
+    try:
+        return build(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise GrammarFormatError(f"bad {what} JSON: {type(exc).__name__}: {exc}") from None
 
 
 # -- phrase trees ------------------------------------------------------
@@ -53,15 +62,19 @@ def phrase_to_json(tree: PhraseTree) -> str:
 def phrase_from_json(text: str) -> PhraseTree:
     def node(obj) -> TreeNode:
         children = tuple(node(c) for c in obj.get("children", []))
+        if obj["kind"] == INTERIOR and not children:
+            raise GrammarFormatError(f"interior node {obj['label']!r} has no children")
         return TreeNode(obj["kind"], obj["label"], children)
 
-    try:
-        data = json.loads(text)
+    def build(data) -> PhraseTree:
         provenance = {
             parse_address(addr): (origin["tree"], parse_address(origin["address"]))
             for addr, origin in data.get("provenance", {}).items()
         }
         return PhraseTree(node(data["root"]), provenance)
+
+    try:
+        return _from_json(text, "phrase tree", build)
     except RecursionError:
         raise GrammarFormatError(_TOO_DEEP) from None
 
@@ -83,18 +96,17 @@ def phrase_to_dot(tree: PhraseTree, name: str = "derived") -> str:
 
 
 def derivation_to_json(script: DerivationTree) -> str:
+    """A step's site is one address text, or a list of them for
+    ``adjoin_set``."""
     steps = []
     for step in script.steps:
-        if step.op == "adjoin_set":
-            site = [format_address(a) for a in step.site]
-        else:
-            site = format_address(step.site)
+        site = site_texts(step.op, step.site)
         steps.append(
             {
                 "op": step.op,
                 "child": step.child,
                 "parent": step.parent,
-                "site": site,
+                "site": site if step.op == "adjoin_set" else site[0],
                 "label": step.arc_label,
             }
         )
@@ -106,21 +118,22 @@ def derivation_to_json(script: DerivationTree) -> str:
 
 
 def derivation_from_json(text: str) -> DerivationTree:
-    data = json.loads(text)
-    steps = []
-    for obj in data["steps"]:
-        if obj["op"] == "adjoin_set":
-            site = tuple(parse_address(a) for a in obj["site"])
-        else:
-            if not isinstance(obj["site"], str):
-                raise GrammarFormatError(f"step {obj['op']} expects a single site")
-            site = parse_address(obj["site"])
-        steps.append(
-            DerivationStep(obj["op"], obj["child"], obj["parent"], site, obj["label"])
-        )
-    script = DerivationTree(data["root"], dict(data["instances"]), steps)
-    script.validate()
-    return script
+    def step(obj) -> DerivationStep:
+        op, site = obj["op"], obj["site"]
+        is_set = op == "adjoin_set"
+        if not isinstance(site, list if is_set else str):
+            form = "a list of sites" if is_set else "a single site"
+            raise GrammarFormatError(f"step {op} expects {form}")
+        site = site_from_texts(op, site if is_set else [site])
+        return DerivationStep(op, obj["child"], obj["parent"], site, obj["label"])
+
+    def build(data) -> DerivationTree:
+        steps = [step(obj) for obj in data["steps"]]
+        script = DerivationTree(data["root"], dict(data["instances"]), steps)
+        script.validate()
+        return script
+
+    return _from_json(text, "derivation", build)
 
 
 def derivation_to_dot(
@@ -139,6 +152,7 @@ def derivation_to_dot(
 
 
 def dependency_to_json(tree: DependencyTree) -> str:
+    tree.validate()
     nodes = [
         {"id": n.id, "lexeme": n.lexeme, "covert": n.covert}
         for n in tree.nodes.values()
@@ -154,18 +168,21 @@ def dependency_to_json(tree: DependencyTree) -> str:
 
 
 def dependency_from_json(text: str) -> DependencyTree:
-    data = json.loads(text)
-    tree = DependencyTree(root=data["root"])
-    for obj in data["nodes"]:
-        tree.nodes[obj["id"]] = DepNode(obj["id"], obj["lexeme"], obj.get("covert", False))
-    for obj in data["arcs"]:
-        tree.arcs.append((obj["head"], obj["dep"], obj["label"]))
-    tree.order = data.get("order")
-    tree.validate()
-    return tree
+    def build(data) -> DependencyTree:
+        tree = DependencyTree(root=data["root"])
+        for obj in data["nodes"]:
+            tree.nodes[obj["id"]] = DepNode(obj["id"], obj["lexeme"], obj.get("covert", False))
+        for obj in data["arcs"]:
+            tree.arcs.append((obj["head"], obj["dep"], obj["label"]))
+        tree.order = data.get("order")
+        tree.validate()
+        return tree
+
+    return _from_json(text, "dependency", build)
 
 
 def dependency_to_dot(tree: DependencyTree, name: str = "dependency") -> str:
+    tree.validate()
     ids = {nid: f"n{i}" for i, nid in enumerate(tree.nodes)}
     nodes = [
         (ids[nid], f"({node.lexeme})" if node.covert else node.lexeme)

@@ -268,19 +268,6 @@ def _bound_dep(rule: SyntagmRule, lexeme: str, shape: _Shape) -> int | None:
     return None
 
 
-def match_rule(
-    tree: DependencyTree,
-    node_id: str,
-    ruleset: RuleSet,
-    deps: list[tuple[str, str]] | None = None,
-) -> SyntagmRule:
-    """The unique rule matching a node; ``deps`` are its overt dependents
-    when the caller has them already."""
-    if deps is None:
-        deps = _overt_index(tree).get(node_id, [])
-    return _matching_rule(ruleset, tree.nodes[node_id].lexeme, _shape(tree, deps, ruleset))
-
-
 # A plan holds, for Y1 and for Y2, the places its words are read from in
 # turn: place 0 is the head word, place 1 + 2i + s is segment s (0 for Y1,
 # 1 for Y2) of the node's i-th overt dependent.
@@ -348,17 +335,11 @@ def _compose(plan: _Plan, parts: list[tuple[str, ...]]) -> tuple[tuple[str, ...]
 
 
 def linearize_node(
-    tree: DependencyTree,
-    node_id: str,
-    dep_pairs: dict[str, SegmentPair],
-    ruleset: RuleSet,
-    deps: list[tuple[str, str]] | None = None,
+    tree: DependencyTree, node_id: str, dep_pairs: dict[str, SegmentPair], ruleset: RuleSet
 ) -> SegmentPair:
     """Apply the unique matching rule at one node, given the dependents'
-    already-computed segment pairs (and, optionally, its overt
-    dependents)."""
-    if deps is None:
-        deps = _overt_index(tree).get(node_id, [])
+    already-computed segment pairs."""
+    deps = _overt_index(tree).get(node_id, [])
     lexeme = tree.nodes[node_id].lexeme
     plan = _plan(ruleset, lexeme, deps, _shape(tree, deps, ruleset))
     parts = [(lexeme,)]
@@ -387,7 +368,9 @@ def _pairs(
     """Validate ``tree``, then yield (node, (Y1, Y2)) for the root and every
     overt node below it through overt nodes, in post-order; errors name
     the node path, and a pair is dropped once its head's is built.  Each
-    node shape (see the module docstring) is planned once."""
+    node shape (see the module docstring) is planned once.  After the
+    root's pair, the words it holds must be as many as the overt nodes:
+    an overt node below a covert one has no place."""
     tree.validate()
     nodes, cat_of = tree.nodes, ruleset._class_of.get
     conditions = [c for rule in ruleset.rules for c in rule.conditions]
@@ -414,19 +397,16 @@ def _pairs(
             parts += done.pop(dep)
         pair = done[node_id] = _compose(plan, parts)
         yield node_id, pair
+    words, overt_count = len(pair[0]) + len(pair[1]), len(tree.overt_nodes())
+    if words != overt_count:
+        raise TagError(f"word conservation violated: {words} words for {overt_count} nodes")
 
 
 def linearize(tree: DependencyTree, ruleset: RuleSet) -> list[str]:
     """Compute the surface word sequence (DMorphR) of a dependency tree."""
     for _, (y1, y2) in _pairs(tree, ruleset):
         pass  # post-order: the root's pair comes last
-    words = list(y1 + y2)
-    overt_count = len(tree.overt_nodes())
-    if len(words) != overt_count:
-        raise TagError(
-            f"word conservation violated: {len(words)} words for {overt_count} nodes"
-        )
-    return words
+    return list(y1 + y2)
 
 
 def segment_pairs(tree: DependencyTree, ruleset: RuleSet) -> dict[str, SegmentPair]:

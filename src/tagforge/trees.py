@@ -86,18 +86,6 @@ class TreeNode:
         return "".join(out)
 
 
-def interior(label: str, *children: TreeNode) -> TreeNode:
-    return TreeNode(INTERIOR, label, tuple(children))
-
-
-def anchor(word: str) -> TreeNode:
-    return TreeNode(ANCHOR, word)
-
-
-def terminal(word: str) -> TreeNode:
-    return TreeNode(TERMINAL, word)
-
-
 def node_at(root: TreeNode, address: Address) -> TreeNode:
     node = root
     for index in address:

@@ -10,7 +10,7 @@ from tagforge import corpus
 from tagforge.dependency import DepNode, DependencyTree, resolve_order, serialize_dependency
 from tagforge.derive import DerivationStep, DerivationTree
 from tagforge.errors import GrammarFormatError, IncompleteOrder, InversionError
-from tagforge.exports import dependency_from_json, dependency_to_json
+from tagforge.exports import dependency_from_json, dependency_to_dot, dependency_to_json
 
 from conftest import (
     all_rooted_trees,
@@ -434,6 +434,39 @@ def test_dependency_format_errors():
         tf.parse_dependency("dep likes { John:1 Lyn:1 }")  # duplicate actant
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dep likes { : }", "bad node token ':'"),
+        ("dep likes { John:1 } Lyn", "trailing input 'Lyn'"),
+    ],
+)
+def test_dependency_format_error_messages(text, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tf.parse_dependency(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "bad dependency JSON: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        ('{"root": "a", "nodes": [{"id": "a"}], "arcs": []}', "bad dependency JSON: KeyError: 'lexeme'"),
+        ('{"root": "a", "nodes": [{"id": "a", "lexeme": "x"}]}', "bad dependency JSON: KeyError: 'arcs'"),
+        (
+            '{"root": ["a"], "nodes": [{"id": "a", "lexeme": "x"}], "arcs": []}',
+            "bad dependency JSON: TypeError: unhashable type: 'list'",
+        ),
+        ('{"root": "b", "nodes": [{"id": "a", "lexeme": "x"}], "arcs": []}', "root 'b' is not a node"),
+    ],
+    ids=["not-json", "no-lexeme", "no-arcs", "root-list", "root-not-a-node"],
+)
+def test_dependency_from_json_errors_are_typed(text, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        dependency_from_json(text)
+    assert str(excinfo.value) == message
+
+
 def test_dependency_without_root_node():
     with pytest.raises(GrammarFormatError, match="no root node"):
         tf.parse_dependency("dep\n")
@@ -505,6 +538,20 @@ def test_changed_dependency_tree_is_checked_again(mutation):
         assert _outcome(call, tree) == expected, name
         if name != "dependency_to_json":  # the one call that does not validate
             assert expected[0] == "GrammarFormatError", name
+
+
+@pytest.mark.parametrize("mutation", DEP_MUTATIONS, ids=list(DEP_MUTATIONS))
+def test_dependency_writers_refuse_a_changed_tree(mutation):
+    """The JSON and DOT writers check the tree as ``serialize_dependency``
+    does, so none of them writes a tree that is not one."""
+    tree = tf.parse_dependency("dep r { a:1 { c:2 } b:2 }")
+    writers = (serialize_dependency, dependency_to_json, dependency_to_dot)
+    for write in writers:
+        assert _outcome(write, tree)[0] == "ok"
+    DEP_MUTATIONS[mutation](tree)
+    outcomes = [_outcome(write, tree) for write in writers]
+    assert outcomes[0][0] == "GrammarFormatError"
+    assert outcomes == [outcomes[0]] * len(writers)
 
 
 DERIVATION_MUTATIONS = {

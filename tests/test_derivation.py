@@ -1,5 +1,6 @@
 """Substitution, adjunction, set adjunction, script replay and the
 golden derivations bundled with the package."""
+import json
 import random
 import sys
 
@@ -724,3 +725,170 @@ def test_two_foot_tree_is_rejected(english):
         tf.adjoin(target, (2,), two_feet)
     with pytest.raises(WrongShape):
         tf.substitute(target, (1,), two_feet)
+
+
+# -- the derivation format: script, JSON and validate -----------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("use alpha1\nuse alpha2", "line 2: only one 'use' statement is allowed"),
+        ("use alpha1\n\nfrob", "line 3: cannot parse statement 'frob'"),
+        (
+            "use alpha1\nsubst alpha2 -> alpha1 @ 1, 2.2 label 1",
+            "line 2: subst/adjoin take exactly one site",
+        ),
+        ("# no root\nsubst alpha2 -> alpha1 @ 1 label 1", "script has no 'use' statement"),
+        ("use alpha1\nsubst alpha2 -> alpha1 @ 1..2 label 1", "bad address '1..2'"),
+        (
+            "use alpha1\nsubst alpha2 -> alpha1 @ 2.0 label 1",
+            "bad address '2.0': indices are 1-based",
+        ),
+    ],
+)
+def test_script_format_errors(english, text, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tf.parse_script(text, english)
+    assert str(excinfo.value) == message
+
+
+def test_site_codec_round_trips():
+    for op, site, texts in [
+        ("substitute", (), ["0"]),
+        ("adjoin", (2, 1), ["2.1"]),
+        ("adjoin_set", ((1,), (2, 2)), ["1", "2.2"]),
+    ]:
+        assert derive.site_texts(op, site) == texts
+        assert derive.site_from_texts(op, texts) == site
+
+
+def _fig7_with(english, change):
+    script = load_script("fig7.drv", english)
+    change(script)
+    return script
+
+
+# A valid script changed so that it breaks one rule only ``validate``'s
+# last three checks catch; each change gives its message.
+FORMAT_FAULTS = {
+    "unknown-op": (
+        lambda s: s.steps.__setitem__(2, s.steps[2]._replace(op="wrap")),
+        "step 2: unknown op 'wrap'",
+    ),
+    "undeclared-child": (
+        lambda s: s.steps.append(derive.DerivationStep("adjoin", "ghost", "alpha1", (2,), "ATTR")),
+        "step 3: instance 'ghost' not declared",
+    ),
+    "unattached-instance": (
+        lambda s: s.instances.__setitem__("extra", "beta1"),
+        "instance 'extra' is attached by no step",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FORMAT_FAULTS, ids=list(FORMAT_FAULTS))
+def test_validate_refuses_what_replay_and_the_bridge_cannot_use(english, fault):
+    change, message = FORMAT_FAULTS[fault]
+    calls = {
+        "validate": lambda s: s.validate(),
+        "run_derivation": lambda s: tf.run_derivation(english, s),
+        "derivation_to_dependency": lambda s: tf.derivation_to_dependency(s, english),
+        "derivation_from_json": lambda s: exports.derivation_from_json(exports.derivation_to_json(s)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(GrammarFormatError) as excinfo:
+            call(_fig7_with(english, change))
+        assert str(excinfo.value) == message, name
+
+
+def test_derivation_json_round_trips_set_steps():
+    """Every corpus script, and every parse of every
+    ``enumerate_language(g, 5)`` sentence, reads back from its JSON with
+    the same root, instances and steps."""
+    derivations = []
+    for script_name, grammar_name in SCRIPT_GRAMMARS.items():
+        derivations.append(load_script(script_name, tf.parse_grammar(corpus.read(grammar_name))))
+    for name in ("english.tag", "english_wh.tag", "dutch.tag"):
+        grammar = tf.parse_grammar(corpus.read(name))
+        for sentence in sorted(tf.enumerate_language(grammar, 5)):
+            derivations += tf.parse(grammar, sentence.split()).derivations
+    assert any(s.op == "adjoin_set" for d in derivations for s in d.steps)
+    for derivation in derivations:
+        back = exports.derivation_from_json(exports.derivation_to_json(derivation))
+        assert back.root == derivation.root
+        assert back.instances == derivation.instances
+        assert back.steps == derivation.steps
+
+
+def _fig15_json(german_mc, change):
+    data = json.loads(exports.derivation_to_json(load_script("fig15.drv", german_mc)))
+    change(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "bad derivation JSON: KeyError: 'steps'"),
+        ("[1]", "bad derivation JSON: TypeError: list indices must be integers or slices, not str"),
+        (
+            "{",
+            "bad derivation JSON: JSONDecodeError: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (
+            lambda d: d["steps"][2].__setitem__("site", "12"),
+            "step adjoin_set expects a list of sites",
+        ),
+        (
+            lambda d: d["steps"][2].__setitem__("site", {"1": 0, "2.2": 0}),
+            "step adjoin_set expects a list of sites",
+        ),
+        (lambda d: d["steps"][0].__setitem__("site", ["2.1"]), "step substitute expects a single site"),
+        (
+            lambda d: d["steps"][2].__setitem__("site", [1, 2]),
+            "bad derivation JSON: AttributeError: 'int' object has no attribute 'strip'",
+        ),
+        (lambda d: d["steps"][1].pop("label"), "bad derivation JSON: KeyError: 'label'"),
+        (
+            lambda d: d.__setitem__("instances", [1]),
+            "bad derivation JSON: TypeError: "
+            "cannot convert dictionary update sequence element #0 to a sequence",
+        ),
+    ],
+    ids=[
+        "no-keys", "list", "not-json", "set-site-string", "set-site-object",
+        "site-list", "site-ints", "no-label", "instances-list",
+    ],
+)
+def test_derivation_from_json_errors_are_typed(german_mc, text, message):
+    if callable(text):
+        text = _fig15_json(german_mc, text)
+    with pytest.raises(GrammarFormatError) as excinfo:
+        exports.derivation_from_json(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "bad phrase tree JSON: AttributeError: 'list' object has no attribute 'get'"),
+        ("", "bad phrase tree JSON: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        ('{"root": {"kind": "anchor"}}', "bad phrase tree JSON: KeyError: 'label'"),
+        (
+            '{"root": {"kind": "anchor", "label": "x", "children": [{"kind": "anchor", "label": "y"}]}}',
+            "bad phrase tree JSON: ValueError: anchor node 'x' must be a leaf",
+        ),
+        ('{"root": {"kind": "interior", "label": "S"}}', "interior node 'S' has no children"),
+        (
+            '{"root": {"kind": "anchor", "label": "x"}, "provenance": {"0": {"tree": "a", "address": "x"}}}',
+            "bad address 'x'",
+        ),
+    ],
+    ids=["list", "not-json", "no-label", "leaf-with-children", "childless-interior", "bad-address"],
+)
+def test_phrase_from_json_errors_are_typed(text, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        exports.phrase_from_json(text)
+    assert str(excinfo.value) == message

@@ -288,3 +288,40 @@ def test_walk_is_preorder():
         ((2, 2), "NP"),
     ]
     assert [n.label for n in walk_nodes(tree.root)] == ["S", "NP", "VP", "V", "likes", "NP"]
+
+
+# -- error messages of the grammar reader ------------------------------
+
+_TREE_A = 'tree a initial (S x! "w"@)\n'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_TREE_A + 'tree b initial (S "w)\n', "line 2: unexpected character '\"'"),
+        (_TREE_A + "tree b initial", "unexpected end of input"),
+        (_TREE_A + "start (", "line 2: expected ident, got '('"),
+        (_TREE_A + "\ntree b initial (S! x!)", "line 3: interior label 'S!' may not carry a marker"),
+        (_TREE_A + "tree b initial (S x!\n\n", "line 2: unclosed '('"),
+        (_TREE_A + 'tree b initial (S "")', "line 2: empty terminals are not allowed"),
+        (_TREE_A + "tree b initial (S { )", "line 2: unexpected token '{'"),
+        (_TREE_A + ")", "line 2: expected a statement, got ')'"),
+        (_TREE_A + 'tree a aux (S S* "v"@)', "line 2: duplicate tree id 'a'"),
+        (_TREE_A + "set s { a ( }", "line 2: expected member id, got '('"),
+        (_TREE_A + "\nfrobnicate", "line 3: unknown statement 'frobnicate'"),
+        (
+            'tree a aux (S S* "v"@)\ntree b aux (S S* "u"@)\nset s { a }\nset s { b }',
+            "line 4: duplicate set id 's'",
+        ),
+    ],
+)
+def test_grammar_format_errors(text, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tf.parse_grammar(text)
+    assert str(excinfo.value) == message
+
+
+def test_tree_expression_refuses_trailing_input():
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tf.parse_tree_expr("(S x!) y!")
+    assert str(excinfo.value) == "trailing input after tree: 'y!'"

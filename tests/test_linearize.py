@@ -372,3 +372,58 @@ def test_head_lexeme_named_by_a_rule_is_part_of_the_shape():
     assert pairs["see"].as_strings() == ("let Bob see", "")
     tree = tf.parse_dependency("dep let { see:1 { Bob:1 } }")
     assert tf.linearize(tree, rules) == ["let", "Bob", "see"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rule r when frob { y1 = head ; y2 = empty }", "cannot parse condition 'frob'"),
+        (
+            "class V = a\nclass V = b\nrule r when any { y1 = head ; y2 = empty }",
+            "duplicate class 'V'",
+        ),
+        ("rule r when any { y3 = head }", "rule 'r': bad assignment 'y3 = head'"),
+        ("rule r when any { y1 = head ; y1 = empty }", "rule 'r': y1 assigned twice"),
+        ("class V = a b", "rule file declares no rules"),
+    ],
+)
+def test_rule_format_error_messages(text, message):
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tf.parse_rules(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        (
+            "rule leaf when not exists dep { y1 = head ; y2 = empty }\n"
+            "rule r when exists dep { y1 = head ++ dep.y1 ; y2 = dep.y2 }",
+            "rule 'r': 'dep' is ambiguous at node 'a' (2 candidates) (at top/a)",
+        ),
+        (
+            "class V = a\n"
+            "rule leaf when not head.cat=V { y1 = head ; y2 = empty }\n"
+            "rule r when head.cat=V { y1 = head ++ dep.y1 ; y2 = dep.y2 }",
+            "rule 'r' uses 'dep' but node 'a' has no unique dependent to bind (at top/a)",
+        ),
+    ],
+)
+def test_dep_binding_errors_name_the_node(rules, message):
+    tree = tf.parse_dependency("dep top { a:1 { b:1 c:2 } }")
+    for entry in (tf.linearize, tf.segment_pairs):
+        with pytest.raises(TagError) as excinfo:
+            entry(tree, tf.parse_rules(rules))
+        assert type(excinfo.value) is TagError
+        assert str(excinfo.value) == message, entry.__name__
+
+
+def test_word_conservation_holds_for_both_entry_points():
+    """An overt node below a covert one has no place in the order, so
+    ``linearize`` and ``segment_pairs`` both refuse the tree."""
+    tree = tf.parse_dependency("dep zag { (PRO):1 { Wim:1 } }")
+    rules = tf.parse_rules(corpus.read("dutch.syn"))
+    for entry in (tf.linearize, tf.segment_pairs):
+        with pytest.raises(TagError) as excinfo:
+            entry(tree, rules)
+        assert str(excinfo.value) == "word conservation violated: 1 words for 2 nodes", entry.__name__
