@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import NamedTuple
 
 from .errors import (
@@ -33,133 +33,309 @@ from .trees import (
     find_cycle,
     format_address,
     frontier,
-    is_prefix,
     node_at,
     parse_address,
-    replace_at,
     walk,
-    walk_nodes,
-    yield_words,
 )
 
 
-@dataclass(frozen=True)
 class PhraseTree:
     """A derived (or partially derived) phrase-structure tree.
 
+    A phrase tree is a persistent composition.  Its *piece* is a flat tree
+    with its own provenance: an elementary tree, or the ``root`` and
+    ``provenance`` given to the constructor.  The trees attached to it are
+    keyed by the piece's own addresses: at most one substituted tree per
+    substitution node, and the trees adjoined at an interior node in the
+    order they came, the first one outermost.  An operation records one
+    attachment, so replay takes time linear in the derived tree's size.
+
+    ``root``, ``feet`` (the foot addresses, in preorder) and
+    ``provenance`` are each built by one stack walk on first read.
     ``provenance`` maps each current address to the elementary-tree
     instance it came from and its address within that tree, which is how
-    script sites stay valid across earlier splices.  ``feet`` lists the
-    foot addresses in preorder; the operations below carry it along, and
-    it is found by one walk only when a tree is built directly.
+    script sites stay valid across earlier splices.  The open feet are the
+    piece's own: a substituted tree has none, and an adjoined tree's one
+    foot holds the subtree it wraps.
     """
 
-    root: TreeNode
-    provenance: dict[Address, tuple[str, Address]]
-    feet: tuple[Address, ...] | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.feet is None:
-            feet = tuple(a for a, n in walk(self.root) if n.kind == FOOT)
-            object.__setattr__(self, "feet", feet)
+    def __init__(self, root: TreeNode, provenance: dict[Address, tuple[str, Address]]):
+        self._root = root
+        self._feet = tuple(a for a, n in walk(root) if n.kind == FOOT)
+        self._origin: str | dict[Address, tuple[str, Address]] = provenance
+        self._attached: dict[Address, tuple[PhraseTree, ...]] = {}
 
     @classmethod
     def from_elementary(cls, tree: ElementaryTree, instance: str | None = None) -> "PhraseTree":
-        instance = instance or tree.id
-        prov = {addr: (instance, addr) for addr in tree.nodes}
-        return cls(tree.root, prov, tuple(tree.foot_addresses()))
+        return cls._piece(tree.root, tuple(tree.foot_addresses()), instance or tree.id, {})
+
+    @classmethod
+    def _piece(cls, root, feet, origin, attached) -> "PhraseTree":
+        """A tree on the piece ``root`` whose own feet are ``feet``; an
+        ``origin`` that is an instance name stands for the identity
+        provenance."""
+        tree = cls.__new__(cls)
+        tree._root, tree._feet, tree._origin, tree._attached = root, feet, origin, attached
+        return tree
+
+    @cached_property
+    def root(self) -> TreeNode:
+        if not self._attached:
+            return self._root
+        built: list[TreeNode] = []  # finished subtrees, the next sibling last
+        for _, _, _, node in reversed(list(self._preorder())):
+            if node.children:
+                k = len(node.children)
+                node = TreeNode(node.kind, node.label, tuple(built[: -k - 1 : -1]))
+                del built[-k:]
+            built.append(node)
+        return built[0]
+
+    @cached_property
+    def feet(self) -> tuple[Address, ...]:
+        if not self._attached:
+            return self._feet
+        return tuple(tuple(path) for path, _, _, node in self._preorder() if node.kind == FOOT)
+
+    @cached_property
+    def provenance(self) -> dict[Address, tuple[str, Address]]:
+        if not self._attached and isinstance(self._origin, dict):
+            return self._origin
+        provenance = {}
+        for path, tree, address, _ in self._preorder():
+            if isinstance(tree._origin, str):
+                provenance[tuple(path)] = (tree._origin, address)
+            elif address in tree._origin:
+                provenance[tuple(path)] = tree._origin[address]
+        return provenance
+
+    @cached_property
+    def _addresses(self) -> dict[tuple[str, Address], Address]:
+        """``provenance`` inverted; the first address wins."""
+        index: dict[tuple[str, Address], Address] = {}
+        for address, origin in self.provenance.items():
+            index.setdefault(origin, address)
+        return index
+
+    def __eq__(self, other):
+        if not isinstance(other, PhraseTree):
+            return NotImplemented
+        return self.root == other.root and self.provenance == other.provenance
 
     def node_at(self, address: Address) -> TreeNode:
         return node_at(self.root, address)
 
     def frontier_words(self) -> list[str]:
-        return yield_words(self.root)
+        return [n.label for _, _, _, n in self._preorder() if n.kind in WORD_KINDS]
 
     def sentence(self) -> str:
         return " ".join(self.frontier_words())
 
     def address_of(self, instance: str, original: Address) -> Address:
         """Current address of a node identified by its provenance."""
-        for addr, origin in self.provenance.items():
-            if origin == (instance, original):
-                return addr
-        raise IllegalSite(
-            f"no node from {instance} at {format_address(original)} in this tree"
-        )
-
-    def foot_address(self) -> Address | None:
-        if len(self.feet) > 1:
-            raise WrongShape(f"tree has {len(self.feet)} foot nodes")
-        return self.feet[0] if self.feet else None
+        try:
+            return self._addresses[instance, original]
+        except KeyError:
+            raise IllegalSite(
+                f"no node from {instance} at {format_address(original)} in this tree"
+            ) from None
 
     def is_complete(self) -> bool:
-        return all(n.kind not in (SUBSTITUTION, FOOT) for n in walk_nodes(self.root))
+        return all(n.kind not in (SUBSTITUTION, FOOT) for _, _, _, n in self._preorder())
+
+    def _preorder(self):
+        """(current address, tree, piece address, piece node) for each node
+        of the derived tree, in preorder, by one stack walk.  The address
+        is one list, changed in place as the walk goes on."""
+        path: list[int] = []
+        stack = [(0, self, (), self._root, 0, None, None)]
+        while stack:
+            depth, *at = stack.pop()
+            tree, address, node, hole, keys = _shown(*at)
+            if depth > len(path):
+                path.append(1)
+            elif depth:
+                del path[depth:]
+                path[-1] += 1
+            yield path, tree, address, node
+            kids = node.children
+            for i in range(len(kids), 0, -1):
+                stack.append((depth + 1, tree, address + (i,), kids[i - 1], 0, hole, keys))
+
+    def _locate(self, site: Address):
+        """The keys down to the tree whose piece node shows at current
+        address ``site``, the node's piece address and the node, from one
+        walk down the composition."""
+        tree, address, node, hole, keys = _shown(self, (), self._root, 0, None, None)
+        for i in site:
+            if not 1 <= i <= len(node.children):
+                raise IllegalSite(f"address {format_address(site)} out of bounds")
+            tree, address, node, hole, keys = _shown(
+                tree, address + (i,), node.children[i - 1], 0, hole, keys
+            )
+        return keys, address, node
+
+    def _position(self, keys, address: Address) -> Address:
+        """Current address of the piece node at ``address`` of the tree
+        ``keys`` reach: each tree adjoined on the way down adds its foot's
+        address.  Used for error messages."""
+        tree, out = self, []
+        for at, j in _unlinked(keys) + [(address, None)]:
+            for depth in range(len(at) + 1):
+                adjoined = tree._attached.get(at[:depth], ())
+                for aux in adjoined[:j] if depth == len(at) else adjoined:
+                    out += aux.feet[0]
+                out += at[depth : depth + 1]
+            if j is not None:
+                tree = tree._attached[at][j]
+        return tuple(out)
+
+    def _with(self, keys, address: Address, child: "PhraseTree") -> "PhraseTree":
+        """This tree with ``child`` attached last at piece ``address`` of
+        the tree ``keys`` reach; only the trees on the way down are
+        copied."""
+        path = _unlinked(keys)
+        trees = [self]
+        for at, j in path:
+            trees.append(trees[-1]._attached[at][j])
+        new = trees.pop()
+        kids = new._attached.get(address, ()) + (child,)
+        new = PhraseTree._piece(new._root, new._feet, new._origin, {**new._attached, address: kids})
+        for (at, j), tree in zip(reversed(path), reversed(trees)):
+            kids = tree._attached[at]
+            attached = {**tree._attached, at: kids[:j] + (new,) + kids[j + 1 :]}
+            new = PhraseTree._piece(tree._root, tree._feet, tree._origin, attached)
+        return new
 
 
-def _as_phrase(tree: ElementaryTree | PhraseTree) -> PhraseTree:
+def _shown(tree: PhraseTree, address: Address, node: TreeNode, j: int, hole, keys):
+    """The piece node that shows at one position of a derived tree.
+
+    The position holds ``node``, at piece ``address`` of ``tree``, wrapped
+    in its adjoined trees from the ``j``-th on.  A substituted tree takes
+    its site's place; adjoined trees wrap their site first to last, each
+    one's foot holding the next tree and the last one's the site itself.
+    ``hole`` is what fills the foot of ``tree``'s piece (None: the foot is
+    open), and ``keys`` lead from the top tree down to ``tree`` as a
+    linked list of (keys, piece address, index) links.
+    """
+    while True:
+        attached = tree._attached.get(address)
+        if attached and node.kind == SUBSTITUTION:
+            keys = (keys, address, 0)
+            tree, address, node, j, hole = attached[0], (), attached[0]._root, 0, None
+        elif attached and j < len(attached):
+            hole = (tree, address, node, j + 1, hole, keys)
+            keys = (keys, address, j)
+            tree, address, node, j = attached[j], (), attached[j]._root, 0
+        elif node.kind == FOOT and hole is not None:
+            tree, address, node, j, hole, keys = hole
+        else:
+            return tree, address, node, hole, keys
+
+
+def _unlinked(keys) -> list[tuple[Address, int]]:
+    """The (piece address, index) keys of a linked list, top first."""
+    out = []
+    while keys is not None:
+        keys, address, j = keys
+        out.append((address, j))
+    return out[::-1]
+
+
+def _member(op: str, tree: ElementaryTree | PhraseTree) -> PhraseTree:
+    """``tree`` checked for its shape and foot count as the child of
+    ``op`` ("substitute" or "adjoin")."""
     if isinstance(tree, ElementaryTree):
-        return PhraseTree.from_elementary(tree)
+        if op == "substitute" and tree.shape != INITIAL:
+            raise WrongShape(f"cannot substitute auxiliary tree {tree.id!r}")
+        if op == "adjoin" and tree.shape != AUXILIARY:
+            raise WrongShape(f"cannot adjoin {tree.shape} tree {tree.id!r}")
+        tree = PhraseTree.from_elementary(tree)
+    if len(tree._feet) > 1:
+        raise WrongShape(f"tree has {len(tree._feet)} foot nodes")
+    if op == "substitute" and tree._feet:
+        raise WrongShape("cannot substitute a tree containing a foot node")
+    if op == "adjoin" and not tree._feet:
+        raise WrongShape("adjoined tree has no foot node")
     return tree
+
+
+def _attach(
+    target: PhraseTree,
+    op: str,
+    child: ElementaryTree | PhraseTree | TreeSet,
+    sites,
+    elementary: bool = False,
+) -> PhraseTree:
+    """Check and record one step: ``child`` (a tree set for
+    ``adjoin_set``) attached to ``target`` at ``sites``, one per member.
+
+    Sites are current addresses, or with ``elementary`` addresses in
+    ``target``'s own piece, as a script names them.  Every site is found in
+    ``target`` as it was before the step.  The checks read only piece
+    nodes, and each attachment is recorded at its piece.
+    """
+    if elementary:
+        found = []
+        for site in sites:
+            try:
+                node = node_at(target._root, site)
+            except IllegalSite:
+                node = None
+            if node is None or (node.kind == SUBSTITUTION and site in target._attached):
+                raise IllegalSite(
+                    f"no node from {target._origin} at {format_address(site)} in this tree"
+                )
+            found.append((None, site, node))
+    members = (child,)
+    if op == "adjoin_set":
+        members = child.members
+        if len(sites) != len(members):
+            raise SetArity(
+                f"set {child.id!r} has {len(members)} members but {len(sites)} sites were given"
+            )
+        if len(set(sites)) != len(sites):
+            raise SetArity(f"set {child.id!r}: sites must be pairwise distinct")
+        op = "adjoin"
+    result = target
+
+    def where() -> str:  # the site's current address, for messages
+        return format_address(result._position(keys, address))
+
+    for i, member in enumerate(members):
+        tree = _member(op, member)
+        keys, address, node = found[i] if elementary else target._locate(sites[i])
+        if op == "substitute":
+            if node.kind != SUBSTITUTION:
+                raise IllegalSite(f"node at {where()} is a {node.kind} node, not a substitution node")
+            if node.label != tree._root.label:
+                raise LabelMismatch(
+                    f"substitution node {node.label!r} at {where()} vs root label {tree._root.label!r}"
+                )
+        else:
+            if node.kind != INTERIOR:
+                raise IllegalSite(
+                    f"node at {where()} is a {node.kind} node; adjunction needs an interior node"
+                )
+            foot_label = node_at(tree._root, tree._feet[0]).label
+            if node.label != tree._root.label or node.label != foot_label:
+                raise LabelMismatch(
+                    f"site label {node.label!r} at {where()} vs "
+                    f"auxiliary root/foot {tree._root.label!r}/{foot_label!r}"
+                )
+        result = result._with(keys, address, tree)
+    return result
 
 
 def substitute(target: PhraseTree, site: Address, tree: ElementaryTree | PhraseTree) -> PhraseTree:
     """Append an initial tree at a substitution node of ``target``."""
-    sub = _as_phrase(tree)
-    if isinstance(tree, ElementaryTree) and tree.shape != INITIAL:
-        raise WrongShape(f"cannot substitute auxiliary tree {tree.id!r}")
-    if sub.foot_address() is not None:
-        raise WrongShape("cannot substitute a tree containing a foot node")
-    site_node = target.node_at(site)
-    if site_node.kind != SUBSTITUTION:
-        raise IllegalSite(
-            f"node at {format_address(site)} is a {site_node.kind} node, not a substitution node"
-        )
-    if site_node.label != sub.root.label:
-        raise LabelMismatch(
-            f"substitution node {site_node.label!r} at {format_address(site)} "
-            f"vs root label {sub.root.label!r}"
-        )
-    new_root = replace_at(target.root, site, sub.root)
-    prov = {a: o for a, o in target.provenance.items() if a != site}
-    for addr, origin in sub.provenance.items():
-        prov[site + addr] = origin
-    return PhraseTree(new_root, prov, target.feet)
+    return _attach(target, "substitute", tree, (site,))
 
 
 def adjoin(target: PhraseTree, site: Address, aux: ElementaryTree | PhraseTree) -> PhraseTree:
     """Splice an auxiliary tree in at an interior node of ``target``."""
-    if isinstance(aux, ElementaryTree) and aux.shape != AUXILIARY:
-        raise WrongShape(f"cannot adjoin {aux.shape} tree {aux.id!r}")
-    aux_pt = _as_phrase(aux)
-    foot = aux_pt.foot_address()
-    if foot is None:
-        raise WrongShape("adjoined tree has no foot node")
-    site_node = target.node_at(site)
-    if site_node.kind != INTERIOR:
-        raise IllegalSite(
-            f"node at {format_address(site)} is a {site_node.kind} node; "
-            "adjunction needs an interior node"
-        )
-    foot_label = aux_pt.node_at(foot).label
-    if site_node.label != aux_pt.root.label or site_node.label != foot_label:
-        raise LabelMismatch(
-            f"site label {site_node.label!r} at {format_address(site)} vs "
-            f"auxiliary root/foot {aux_pt.root.label!r}/{foot_label!r}"
-        )
-    spliced = replace_at(aux_pt.root, foot, site_node)
-    new_root = replace_at(target.root, site, spliced)
-    prov = {_below_foot(site, foot, a): origin for a, origin in target.provenance.items()}
-    for addr, origin in aux_pt.provenance.items():
-        if addr == foot:
-            continue  # the excised subtree root occupies the foot position
-        prov[site + addr] = origin
-    return PhraseTree(new_root, prov, tuple(_below_foot(site, foot, f) for f in target.feet))
-
-
-def _below_foot(site: Address, foot: Address, addr: Address) -> Address:
-    """Where ``addr`` is after adjunction at ``site`` of a tree whose foot
-    is at ``foot``: the excised subtree now hangs below the foot."""
-    return site + foot + addr[len(site):] if is_prefix(site, addr) else addr
+    return _attach(target, "adjoin", aux, (site,))
 
 
 def adjoin_set(
@@ -169,28 +345,11 @@ def adjoin_set(
 ) -> PhraseTree:
     """Adjoin every member of a tree set in one atomic step.
 
-    Sites are interpreted against the pre-step target; address shifts
-    caused by earlier members are resolved internally.  The step is
-    atomic because operations are persistent: each member goes through
-    ``adjoin``, which never mutates its arguments, so when a member does
-    not fit, the error leaves ``target`` unchanged and no partial result
-    is returned.
+    Sites are interpreted against the pre-step target.  The step is atomic
+    because operations are persistent: when a member does not fit, the
+    error leaves ``target`` unchanged and no partial result is returned.
     """
-    members = tree_set.members
-    if len(sites) != len(members):
-        raise SetArity(
-            f"set {tree_set.id!r} has {len(members)} members but {len(sites)} sites were given"
-        )
-    if len(set(sites)) != len(sites):
-        raise SetArity(f"set {tree_set.id!r}: sites must be pairwise distinct")
-    result = target
-    applied: list[tuple[Address, Address]] = []  # (translated site, foot address)
-    for site, member in zip(sites, members):
-        for prev_site, prev_foot in applied:
-            site = _below_foot(prev_site, prev_foot, site)
-        result = adjoin(result, site, member)
-        applied.append((site, member.foot_addresses()[0]))
-    return result
+    return _attach(target, "adjoin_set", tree_set, sites)
 
 
 # Script keyword -> derivation op; the ops are the values.
@@ -365,13 +524,8 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
                         raise child
                     if isinstance(made, TreeSet):
                         raise IllegalSite(f"{instance!r} is a tree set; no step attaches to it")
-                    if step.op == "adjoin_set":
-                        sites = [made.address_of(instance, s) for s in step.site]
-                        made = adjoin_set(made, sites, child)
-                        continue
-                    here = made.address_of(instance, step.site)
-                    splice = substitute if step.op == "substitute" else adjoin
-                    made = splice(made, here, child)
+                    sites = step.site if step.op == "adjoin_set" else (step.site,)
+                    made = _attach(made, step.op, child, sites, elementary=True)
                 except ScriptError:
                     raise
                 except TagError as exc:
@@ -384,7 +538,7 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
     if isinstance(derived, TagError):
         raise derived
     words = []
-    for node in walk_nodes(derived.root):
+    for _, _, _, node in derived._preorder():
         if node.kind in WORD_KINDS:
             words.append(node.label)
         elif node.kind in (SUBSTITUTION, FOOT):  # addresses only for the message

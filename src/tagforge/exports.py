@@ -7,7 +7,7 @@ import json
 from .dependency import DependencyTree, DepNode
 from .derive import DerivationStep, DerivationTree, PhraseTree, site_from_texts, site_texts
 from .errors import GrammarFormatError, TagError
-from .trees import INTERIOR, TreeNode, format_address, parse_address, walk
+from .trees import INTERIOR, NODE_KINDS, TreeNode, format_address, parse_address, walk
 
 
 def _dot_escape(text: str) -> str:
@@ -26,13 +26,16 @@ def _dot(name: str, nodes, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _from_json(text: str, what: str, build):
+def _from_json(text: str, what: str, build, too_deep: str):
     """``build`` applied to the parsed JSON ``text``.  Text that is not
-    JSON, and JSON of the wrong shape, raise ``GrammarFormatError``."""
+    JSON, and JSON of the wrong shape, raise ``GrammarFormatError``; JSON
+    nested deeper than the reader can follow raises it with ``too_deep``."""
     try:
         return build(json.loads(text))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise GrammarFormatError(f"bad {what} JSON: {type(exc).__name__}: {exc}") from None
+    except RecursionError:
+        raise GrammarFormatError(too_deep) from None
 
 
 # -- phrase trees ------------------------------------------------------
@@ -49,18 +52,23 @@ def phrase_to_json(tree: PhraseTree) -> str:
             out["children"] = [node(c) for c in n.children]
         return out
 
-    provenance = {
-        format_address(addr): {"tree": origin[0], "address": format_address(origin[1])}
-        for addr, origin in sorted(tree.provenance.items())
-    }
     try:
-        return json.dumps({"root": node(tree.root), "provenance": provenance}, indent=2, ensure_ascii=False)
+        # The root first: a tree too deep for it fails before provenance,
+        # which holds one full address per node, is built.
+        root = node(tree.root)
+        provenance = {
+            format_address(addr): {"tree": origin[0], "address": format_address(origin[1])}
+            for addr, origin in sorted(tree.provenance.items())
+        }
+        return json.dumps({"root": root, "provenance": provenance}, indent=2, ensure_ascii=False)
     except RecursionError:
         raise TagError(_TOO_DEEP) from None
 
 
 def phrase_from_json(text: str) -> PhraseTree:
     def node(obj) -> TreeNode:
+        if obj["kind"] not in NODE_KINDS:
+            raise GrammarFormatError(f"unknown node kind {obj['kind']!r}")
         children = tuple(node(c) for c in obj.get("children", []))
         if obj["kind"] == INTERIOR and not children:
             raise GrammarFormatError(f"interior node {obj['label']!r} has no children")
@@ -73,10 +81,7 @@ def phrase_from_json(text: str) -> PhraseTree:
         }
         return PhraseTree(node(data["root"]), provenance)
 
-    try:
-        return _from_json(text, "phrase tree", build)
-    except RecursionError:
-        raise GrammarFormatError(_TOO_DEEP) from None
+    return _from_json(text, "phrase tree", build, _TOO_DEEP)
 
 
 _PHRASE_LABELS = {"substitution": "{} ↓", "foot": "{} *", "terminal": '"{}"', "anchor": "{}◇"}
@@ -133,7 +138,7 @@ def derivation_from_json(text: str) -> DerivationTree:
         script.validate()
         return script
 
-    return _from_json(text, "derivation", build)
+    return _from_json(text, "derivation", build, "derivation JSON nests too deep")
 
 
 def derivation_to_dot(
@@ -178,7 +183,7 @@ def dependency_from_json(text: str) -> DependencyTree:
         tree.validate()
         return tree
 
-    return _from_json(text, "dependency", build)
+    return _from_json(text, "dependency", build, "dependency JSON nests too deep")
 
 
 def dependency_to_dot(tree: DependencyTree, name: str = "dependency") -> str:

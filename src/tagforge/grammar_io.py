@@ -72,7 +72,8 @@ class _TokenStream:
     def next(self, expected_kind=None):
         tok = self.peek()
         if tok is None:
-            raise GrammarFormatError("unexpected end of input")
+            last_line = self.tokens[-1][2] if self.tokens else None
+            raise GrammarFormatError("unexpected end of input", last_line)
         if expected_kind is not None and tok[0] != expected_kind:
             raise GrammarFormatError(f"expected {expected_kind}, got {tok[1]!r}", tok[2])
         self.index += 1

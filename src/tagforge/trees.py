@@ -20,6 +20,7 @@ ANCHOR = "anchor"
 TERMINAL = "terminal"
 
 LEAF_KINDS = frozenset({SUBSTITUTION, FOOT, ANCHOR, TERMINAL})
+NODE_KINDS = LEAF_KINDS | {INTERIOR}
 WORD_KINDS = frozenset({ANCHOR, TERMINAL})
 
 Address = tuple[int, ...]
@@ -162,10 +163,6 @@ def parse_address(text: str) -> Address:
     if any(p < 1 for p in parts):
         raise GrammarFormatError(f"bad address {text!r}: indices are 1-based")
     return parts
-
-
-def is_prefix(prefix: Address, address: Address) -> bool:
-    return len(prefix) <= len(address) and address[: len(prefix)] == prefix
 
 
 # Actant arc labels are 1, 2, ...; ATTR and S are not actants.

@@ -458,8 +458,9 @@ def test_dependency_format_error_messages(text, message):
             "bad dependency JSON: TypeError: unhashable type: 'list'",
         ),
         ('{"root": "b", "nodes": [{"id": "a", "lexeme": "x"}], "arcs": []}', "root 'b' is not a node"),
+        ("[" * 100_000, "dependency JSON nests too deep"),
     ],
-    ids=["not-json", "no-lexeme", "no-arcs", "root-list", "root-not-a-node"],
+    ids=["not-json", "no-lexeme", "no-arcs", "root-list", "root-not-a-node", "too-deep"],
 )
 def test_dependency_from_json_errors_are_typed(text, message):
     with pytest.raises(GrammarFormatError) as excinfo:

@@ -3,6 +3,7 @@ golden derivations bundled with the package."""
 import json
 import random
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -24,7 +25,6 @@ from tagforge.trees import (
     TreeNode,
     count_nodes,
     format_address,
-    is_prefix,
     node_at,
     parse_address,
     replace_at,
@@ -497,9 +497,9 @@ def _stack_depth() -> int:
 
 
 def test_deep_script_replays_without_recursion(english):
-    """Replay folds the derivation tree with an explicit stack, and
-    ``replace_at`` copies the path to a site in a loop, so a 300-level
-    adjunction chain replays with only 100 frames to spare."""
+    """Replay folds the derivation tree with an explicit stack, and walks
+    the composition it records with another, so a 300-level adjunction
+    chain replays, and builds its root, with only 100 frames to spare."""
     depth = 300
     lines = [
         "use alpha1",
@@ -512,10 +512,12 @@ def test_deep_script_replays_without_recursion(english):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        _, sentence = tf.run_derivation(english, script)
+        derived, sentence = tf.run_derivation(english, script)
+        root = derived.root
     finally:
         sys.setrecursionlimit(limit)
     assert sentence == " ".join(["John"] + ["really"] * depth + ["likes", "Lyn"])
+    assert yield_words(root) == sentence.split()
 
 
 def _phrase_chain(depth: int) -> PhraseTree:
@@ -659,24 +661,22 @@ def _walked_feet(phrase):
 
 
 def test_carried_feet_match_a_fresh_walk(monkeypatch, english):
-    """Every substitute, adjoin and adjoin_set result carries the foot
-    addresses a walk of its root finds, through every corpus script and
-    every parse of the golden sentences."""
+    """Every step ``_attach`` records (substitute, adjoin, adjoin_set and
+    replay all go through it) gives a tree whose feet are the ones a walk
+    of its root finds, through every corpus script and every parse of the
+    golden sentences."""
     checked = {"ops": 0, "translated": 0}
+    attach = derive._attach
 
-    def checking(op):
-        def wrapper(target, site, *args, **kwargs):
-            out = op(target, site, *args, **kwargs)
-            assert out.feet == _walked_feet(out), op.__name__
-            checked["ops"] += 1
-            if op.__name__ == "adjoin" and any(is_prefix(site, f) for f in target.feet):
-                checked["translated"] += 1
-            return out
+    def checking(target, op, *args, **kwargs):
+        out = attach(target, op, *args, **kwargs)
+        assert out.feet == _walked_feet(out), op
+        checked["ops"] += 1
+        if op == "adjoin" and out.feet != target.feet:
+            checked["translated"] += 1
+        return out
 
-        return wrapper
-
-    for name in ("substitute", "adjoin", "adjoin_set"):
-        monkeypatch.setattr(derive, name, checking(getattr(derive, name)))
+    monkeypatch.setattr(derive, "_attach", checking)
 
     for script_name, grammar_name in SCRIPT_GRAMMARS.items():
         grammar = tf.parse_grammar(corpus.read(grammar_name))
@@ -725,6 +725,126 @@ def test_two_foot_tree_is_rejected(english):
         tf.adjoin(target, (2,), two_feet)
     with pytest.raises(WrongShape):
         tf.substitute(target, (1,), two_feet)
+
+
+# -- the eager replay as the reference -----------------------------------
+#
+# The engine's first algorithm, kept as an oracle: each operation splices
+# the derived tree at once with ``replace_at`` and rewrites the whole
+# provenance, and a site is found by scanning it.  Quadratic or worse on
+# deep chains, but plainly right.
+
+
+class _Eager(NamedTuple):
+    root: TreeNode
+    provenance: dict
+    feet: tuple
+
+
+def _eager_elementary(tree, instance=None):
+    instance = instance or tree.id
+    return _Eager(tree.root, {a: (instance, a) for a in tree.nodes}, tuple(tree.foot_addresses()))
+
+
+def _eager_address_of(tree, instance, original):
+    return next(a for a, origin in tree.provenance.items() if origin == (instance, original))
+
+
+def _below_foot(site, foot, address):
+    """Where ``address`` is after adjunction at ``site`` of a tree whose
+    foot is at ``foot``: the excised subtree now hangs below the foot."""
+    return site + foot + address[len(site) :] if address[: len(site)] == site else address
+
+
+def _eager_substitute(target, site, sub):
+    provenance = {a: o for a, o in target.provenance.items() if a != site}
+    for address, origin in sub.provenance.items():
+        provenance[site + address] = origin
+    return _Eager(replace_at(target.root, site, sub.root), provenance, target.feet)
+
+
+def _eager_adjoin(target, site, aux):
+    [foot] = aux.feet
+    spliced = replace_at(aux.root, foot, node_at(target.root, site))
+    provenance = {_below_foot(site, foot, a): o for a, o in target.provenance.items()}
+    for address, origin in aux.provenance.items():
+        if address != foot:
+            provenance[site + address] = origin
+    feet = tuple(_below_foot(site, foot, f) for f in target.feet)
+    return _Eager(replace_at(target.root, site, spliced), provenance, feet)
+
+
+def _eager_adjoin_set(target, sites, tree_set):
+    result, applied = target, []
+    for site, member in zip(sites, tree_set.members):
+        for prev_site, prev_foot in applied:
+            site = _below_foot(prev_site, prev_foot, site)
+        result = _eager_adjoin(result, site, _eager_elementary(member))
+        applied.append((site, member.foot_addresses()[0]))
+    return result
+
+
+def _assert_same(tree, eager):
+    assert tree.root == eager.root
+    assert tree.provenance == eager.provenance
+    assert tree.feet == eager.feet
+    assert tree.sentence() == " ".join(yield_words(eager.root))
+
+
+def _replay_against_eager(grammar, script):
+    """Replay ``script`` through the public operations and the eager
+    reference side by side, comparing the trees after every op, then
+    compare ``run_derivation``'s result with the reference's."""
+    sets = script.set_occurrences()
+
+    def build(instance, tree_id, kids):
+        if instance in sets:
+            return grammar.tree_sets[tree_id]
+        tree = PhraseTree.from_elementary(grammar.tree(tree_id), instance)
+        eager = _eager_elementary(grammar.tree(tree_id), instance)
+        for _, step, child in kids:
+            if step.op == "adjoin_set":
+                sites = [_eager_address_of(eager, instance, s) for s in step.site]
+                tree = tf.adjoin_set(tree, sites, child)
+                eager = _eager_adjoin_set(eager, sites, child)
+            else:
+                here = _eager_address_of(eager, instance, step.site)
+                if step.op == "substitute":
+                    tree, eager = tf.substitute(tree, here, child[0]), _eager_substitute(eager, here, child[1])
+                else:
+                    tree, eager = tf.adjoin(tree, here, child[0]), _eager_adjoin(eager, here, child[1])
+            _assert_same(tree, eager)
+        return tree, eager
+
+    _, eager = script._fold(build)
+    derived, sentence = tf.run_derivation(grammar, script)
+    _assert_same(derived, eager)
+    assert sentence == " ".join(yield_words(eager.root))
+
+
+def test_replay_matches_the_eager_reference(english, german_mc):
+    """Every corpus script, every parse of every ``enumerate_language(g,
+    5)`` sentence, each set step of the fig15 family, and adjunctions
+    stacked at one node, which no parse makes."""
+    for script_name, grammar_name in SCRIPT_GRAMMARS.items():
+        grammar = tf.parse_grammar(corpus.read(grammar_name))
+        _replay_against_eager(grammar, load_script(script_name, grammar))
+    stacked = FIG7 + "".join(
+        f"adjoin beta1 as {child} -> {parent} @ {site} label ATTR\n"
+        for child, parent, site in [("b2", "alpha1", "2"), ("b3", "b2", "0"), ("b4", "alpha1", "2")]
+    )
+    _replay_against_eager(english, tf.parse_script(stacked, english))
+    replayed = 0
+    for name in ("english.tag", "english_wh.tag", "dutch.tag"):
+        grammar = tf.parse_grammar(corpus.read(name))
+        for sentence in sorted(tf.enumerate_language(grammar, 5)):
+            for derivation in tf.parse(grammar, sentence.split()).derivations:
+                _replay_against_eager(grammar, derivation)
+                replayed += 1
+    for sites in ("1, 2.2", "0, 2.2", "0, 2", "2, 0", "2.2, 2"):
+        step = f"adjoinset sigma_m -> alpha_inf @ {sites} label S"
+        _replay_against_eager(german_mc, tf.parse_script(FIG15_PREFIX + step, german_mc))
+    assert replayed > 100
 
 
 # -- the derivation format: script, JSON and validate -----------------
@@ -856,10 +976,11 @@ def _fig15_json(german_mc, change):
             "bad derivation JSON: TypeError: "
             "cannot convert dictionary update sequence element #0 to a sequence",
         ),
+        ("[" * 100_000, "derivation JSON nests too deep"),
     ],
     ids=[
         "no-keys", "list", "not-json", "set-site-string", "set-site-object",
-        "site-list", "site-ints", "no-label", "instances-list",
+        "site-list", "site-ints", "no-label", "instances-list", "too-deep",
     ],
 )
 def test_derivation_from_json_errors_are_typed(german_mc, text, message):
@@ -885,8 +1006,12 @@ def test_derivation_from_json_errors_are_typed(german_mc, text, message):
             '{"root": {"kind": "anchor", "label": "x"}, "provenance": {"0": {"tree": "a", "address": "x"}}}',
             "bad address 'x'",
         ),
+        ('{"root": {"kind": "bogus", "label": "x"}}', "unknown node kind 'bogus'"),
     ],
-    ids=["list", "not-json", "no-label", "leaf-with-children", "childless-interior", "bad-address"],
+    ids=[
+        "list", "not-json", "no-label", "leaf-with-children", "childless-interior", "bad-address",
+        "unknown-kind",
+    ],
 )
 def test_phrase_from_json_errors_are_typed(text, message):
     with pytest.raises(GrammarFormatError) as excinfo:

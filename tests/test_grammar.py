@@ -299,7 +299,7 @@ _TREE_A = 'tree a initial (S x! "w"@)\n'
     "text, message",
     [
         (_TREE_A + 'tree b initial (S "w)\n', "line 2: unexpected character '\"'"),
-        (_TREE_A + "tree b initial", "unexpected end of input"),
+        (_TREE_A + "tree b initial", "line 2: unexpected end of input"),
         (_TREE_A + "start (", "line 2: expected ident, got '('"),
         (_TREE_A + "\ntree b initial (S! x!)", "line 3: interior label 'S!' may not carry a marker"),
         (_TREE_A + "tree b initial (S x!\n\n", "line 2: unclosed '('"),

@@ -370,9 +370,10 @@ def test_recognize_long_adverb_stack(english):
 
 
 def test_parse_long_adverb_stack(english, capsys):
-    """600 stacked adjunctions: enumeration and the build use explicit
-    stacks, so a derivation this deep raises no RecursionError, in the
-    library or through the CLI's JSON output."""
+    """600 stacked adjunctions: enumeration, the build and replay use
+    explicit stacks, so a derivation this deep raises no RecursionError,
+    in the library or through the CLI's JSON output, and replays to its
+    sentence."""
     result = tf.parse(english, _adverbs(600), cap=1)
     assert result.recognized
     [derivation] = result.derivations
@@ -380,6 +381,7 @@ def test_parse_long_adverb_stack(english, capsys):
     assert result.stats["items"] <= 5_000
     assert list(derivation.instances.values()).count("beta1") == 600
     sentence = " ".join(_adverbs(600))
+    assert tf.run_derivation(english, derivation)[1] == sentence
     argv = ["parse", "-g", "corpus:english.tag", sentence, "--cap", "1", "--format", "json"]
     assert cli.main(argv) == 0
     [shown] = json.loads(capsys.readouterr().out)["derivations"]
