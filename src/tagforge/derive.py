@@ -47,14 +47,18 @@ class PhraseTree:
     ``provenance`` given to the constructor.  The trees attached to it are
     keyed by the piece's own addresses: at most one substituted tree per
     substitution node, and the trees adjoined at an interior node in the
-    order they came, the first one outermost.  An operation records one
-    attachment, so replay takes time linear in the derived tree's size.
+    order they came, the first one outermost.  A script step names its
+    sites in the piece it attaches to and is recorded there, so replay
+    takes time linear in the derived tree's size.  ``substitute``,
+    ``adjoin`` and ``adjoin_set`` take current addresses instead: on a tree
+    with attachments they first rebuild it as one piece from its ``root``
+    and ``provenance``.
 
     ``root``, ``feet`` (the foot addresses, in preorder) and
     ``provenance`` are each built by one stack walk on first read.
     ``provenance`` maps each current address to the elementary-tree
-    instance it came from and its address within that tree, which is how
-    script sites stay valid across earlier splices.  The open feet are the
+    instance it came from and its address within that tree;
+    ``address_of`` reads it the other way.  The open feet are the
     piece's own: a substituted tree has none, and an adjoined tree's one
     foot holds the subtree it wraps.
     """
@@ -148,10 +152,10 @@ class PhraseTree:
         of the derived tree, in preorder, by one stack walk.  The address
         is one list, changed in place as the walk goes on."""
         path: list[int] = []
-        stack = [(0, self, (), self._root, 0, None, None)]
+        stack = [(0, self, (), self._root, 0, None)]
         while stack:
             depth, *at = stack.pop()
-            tree, address, node, hole, keys = _shown(*at)
+            tree, address, node, hole = _shown(*at)
             if depth > len(path):
                 path.append(1)
             elif depth:
@@ -160,55 +164,10 @@ class PhraseTree:
             yield path, tree, address, node
             kids = node.children
             for i in range(len(kids), 0, -1):
-                stack.append((depth + 1, tree, address + (i,), kids[i - 1], 0, hole, keys))
-
-    def _locate(self, site: Address):
-        """The keys down to the tree whose piece node shows at current
-        address ``site``, the node's piece address and the node, from one
-        walk down the composition."""
-        tree, address, node, hole, keys = _shown(self, (), self._root, 0, None, None)
-        for i in site:
-            if not 1 <= i <= len(node.children):
-                raise IllegalSite(f"address {format_address(site)} out of bounds")
-            tree, address, node, hole, keys = _shown(
-                tree, address + (i,), node.children[i - 1], 0, hole, keys
-            )
-        return keys, address, node
-
-    def _position(self, keys, address: Address) -> Address:
-        """Current address of the piece node at ``address`` of the tree
-        ``keys`` reach: each tree adjoined on the way down adds its foot's
-        address.  Used for error messages."""
-        tree, out = self, []
-        for at, j in _unlinked(keys) + [(address, None)]:
-            for depth in range(len(at) + 1):
-                adjoined = tree._attached.get(at[:depth], ())
-                for aux in adjoined[:j] if depth == len(at) else adjoined:
-                    out += aux.feet[0]
-                out += at[depth : depth + 1]
-            if j is not None:
-                tree = tree._attached[at][j]
-        return tuple(out)
-
-    def _with(self, keys, address: Address, child: "PhraseTree") -> "PhraseTree":
-        """This tree with ``child`` attached last at piece ``address`` of
-        the tree ``keys`` reach; only the trees on the way down are
-        copied."""
-        path = _unlinked(keys)
-        trees = [self]
-        for at, j in path:
-            trees.append(trees[-1]._attached[at][j])
-        new = trees.pop()
-        kids = new._attached.get(address, ()) + (child,)
-        new = PhraseTree._piece(new._root, new._feet, new._origin, {**new._attached, address: kids})
-        for (at, j), tree in zip(reversed(path), reversed(trees)):
-            kids = tree._attached[at]
-            attached = {**tree._attached, at: kids[:j] + (new,) + kids[j + 1 :]}
-            new = PhraseTree._piece(tree._root, tree._feet, tree._origin, attached)
-        return new
+                stack.append((depth + 1, tree, address + (i,), kids[i - 1], 0, hole))
 
 
-def _shown(tree: PhraseTree, address: Address, node: TreeNode, j: int, hole, keys):
+def _shown(tree: PhraseTree, address: Address, node: TreeNode, j: int, hole):
     """The piece node that shows at one position of a derived tree.
 
     The position holds ``node``, at piece ``address`` of ``tree``, wrapped
@@ -216,31 +175,19 @@ def _shown(tree: PhraseTree, address: Address, node: TreeNode, j: int, hole, key
     its site's place; adjoined trees wrap their site first to last, each
     one's foot holding the next tree and the last one's the site itself.
     ``hole`` is what fills the foot of ``tree``'s piece (None: the foot is
-    open), and ``keys`` lead from the top tree down to ``tree`` as a
-    linked list of (keys, piece address, index) links.
+    open).
     """
     while True:
         attached = tree._attached.get(address)
         if attached and node.kind == SUBSTITUTION:
-            keys = (keys, address, 0)
             tree, address, node, j, hole = attached[0], (), attached[0]._root, 0, None
         elif attached and j < len(attached):
-            hole = (tree, address, node, j + 1, hole, keys)
-            keys = (keys, address, j)
+            hole = (tree, address, node, j + 1, hole)
             tree, address, node, j = attached[j], (), attached[j]._root, 0
         elif node.kind == FOOT and hole is not None:
-            tree, address, node, j, hole, keys = hole
+            tree, address, node, j, hole = hole
         else:
-            return tree, address, node, hole, keys
-
-
-def _unlinked(keys) -> list[tuple[Address, int]]:
-    """The (piece address, index) keys of a linked list, top first."""
-    out = []
-    while keys is not None:
-        keys, address, j = keys
-        out.append((address, j))
-    return out[::-1]
+            return tree, address, node, hole
 
 
 def _member(op: str, tree: ElementaryTree | PhraseTree) -> PhraseTree:
@@ -262,32 +209,29 @@ def _member(op: str, tree: ElementaryTree | PhraseTree) -> PhraseTree:
 
 
 def _attach(
-    target: PhraseTree,
-    op: str,
-    child: ElementaryTree | PhraseTree | TreeSet,
-    sites,
-    elementary: bool = False,
+    target: PhraseTree, op: str, child: ElementaryTree | PhraseTree | TreeSet, sites
 ) -> PhraseTree:
     """Check and record one step: ``child`` (a tree set for
     ``adjoin_set``) attached to ``target`` at ``sites``, one per member.
 
-    Sites are current addresses, or with ``elementary`` addresses in
-    ``target``'s own piece, as a script names them.  Every site is found in
-    ``target`` as it was before the step.  The checks read only piece
-    nodes, and each attachment is recorded at its piece.
+    Sites are addresses in ``target``'s own piece.  Every site is checked
+    against the piece as it was before the step, before any member is;
+    each attachment is recorded at its site, and messages name the site
+    as given.
     """
-    if elementary:
-        found = []
-        for site in sites:
-            try:
-                node = node_at(target._root, site)
-            except IllegalSite:
-                node = None
-            if node is None or (node.kind == SUBSTITUTION and site in target._attached):
-                raise IllegalSite(
-                    f"no node from {target._origin} at {format_address(site)} in this tree"
-                )
-            found.append((None, site, node))
+    if op == "substitute":
+        need, needs = SUBSTITUTION, ", not a substitution node"
+    else:
+        need, needs = INTERIOR, "; adjunction needs an interior node"
+    sites, nodes = tuple(map(tuple, sites)), []
+    for site in sites:
+        node = node_at(target._root, site)
+        if node.kind == SUBSTITUTION and site in target._attached:
+            raise IllegalSite(f"substitution node at {format_address(site)} is already filled")
+        if node.kind != need:
+            kind = ("an " if node.kind[0] in "aeiou" else "a ") + node.kind
+            raise IllegalSite(f"node at {format_address(site)} is {kind} node{needs}")
+        nodes.append(node)
     members = (child,)
     if op == "adjoin_set":
         members = child.members
@@ -298,44 +242,40 @@ def _attach(
         if len(set(sites)) != len(sites):
             raise SetArity(f"set {child.id!r}: sites must be pairwise distinct")
         op = "adjoin"
-    result = target
-
-    def where() -> str:  # the site's current address, for messages
-        return format_address(result._position(keys, address))
-
-    for i, member in enumerate(members):
+    attached = dict(target._attached)
+    for site, node, member in zip(sites, nodes, members):
         tree = _member(op, member)
-        keys, address, node = found[i] if elementary else target._locate(sites[i])
-        if op == "substitute":
-            if node.kind != SUBSTITUTION:
-                raise IllegalSite(f"node at {where()} is a {node.kind} node, not a substitution node")
-            if node.label != tree._root.label:
-                raise LabelMismatch(
-                    f"substitution node {node.label!r} at {where()} vs root label {tree._root.label!r}"
-                )
-        else:
-            if node.kind != INTERIOR:
-                raise IllegalSite(
-                    f"node at {where()} is a {node.kind} node; adjunction needs an interior node"
-                )
+        if op == "substitute" and node.label != tree._root.label:
+            raise LabelMismatch(
+                f"substitution node {node.label!r} at {format_address(site)} "
+                f"vs root label {tree._root.label!r}"
+            )
+        if op == "adjoin":
             foot_label = node_at(tree._root, tree._feet[0]).label
             if node.label != tree._root.label or node.label != foot_label:
                 raise LabelMismatch(
-                    f"site label {node.label!r} at {where()} vs "
+                    f"site label {node.label!r} at {format_address(site)} vs "
                     f"auxiliary root/foot {tree._root.label!r}/{foot_label!r}"
                 )
-        result = result._with(keys, address, tree)
-    return result
+        attached[site] = attached.get(site, ()) + (tree,)
+    return PhraseTree._piece(target._root, target._feet, target._origin, attached)
+
+
+def _flat(target: PhraseTree) -> PhraseTree:
+    """``target`` as one piece whose addresses are its current ones, as
+    the public operations take them; rebuilt only when something is
+    attached to it."""
+    return PhraseTree(target.root, target.provenance) if target._attached else target
 
 
 def substitute(target: PhraseTree, site: Address, tree: ElementaryTree | PhraseTree) -> PhraseTree:
     """Append an initial tree at a substitution node of ``target``."""
-    return _attach(target, "substitute", tree, (site,))
+    return _attach(_flat(target), "substitute", tree, (site,))
 
 
 def adjoin(target: PhraseTree, site: Address, aux: ElementaryTree | PhraseTree) -> PhraseTree:
     """Splice an auxiliary tree in at an interior node of ``target``."""
-    return _attach(target, "adjoin", aux, (site,))
+    return _attach(_flat(target), "adjoin", aux, (site,))
 
 
 def adjoin_set(
@@ -349,7 +289,7 @@ def adjoin_set(
     because operations are persistent: when a member does not fit, the
     error leaves ``target`` unchanged and no partial result is returned.
     """
-    return _attach(target, "adjoin_set", tree_set, sites)
+    return _attach(_flat(target), "adjoin_set", tree_set, sites)
 
 
 # Script keyword -> derivation op; the ops are the values.
@@ -525,7 +465,7 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
                     if isinstance(made, TreeSet):
                         raise IllegalSite(f"{instance!r} is a tree set; no step attaches to it")
                     sites = step.site if step.op == "adjoin_set" else (step.site,)
-                    made = _attach(made, step.op, child, sites, elementary=True)
+                    made = _attach(made, step.op, child, sites)
                 except ScriptError:
                     raise
                 except TagError as exc:

@@ -6,8 +6,8 @@ import json
 
 from .dependency import DependencyTree, DepNode
 from .derive import DerivationStep, DerivationTree, PhraseTree, site_from_texts, site_texts
-from .errors import GrammarFormatError, TagError
-from .trees import INTERIOR, NODE_KINDS, TreeNode, format_address, parse_address, walk
+from .errors import GrammarFormatError, IllegalSite, TagError
+from .trees import INTERIOR, NODE_KINDS, TreeNode, format_address, node_at, parse_address, walk
 
 
 def _dot_escape(text: str) -> str:
@@ -79,7 +79,15 @@ def phrase_from_json(text: str) -> PhraseTree:
             parse_address(addr): (origin["tree"], parse_address(origin["address"]))
             for addr, origin in data.get("provenance", {}).items()
         }
-        return PhraseTree(node(data["root"]), provenance)
+        root = node(data["root"])
+        for address in provenance:
+            try:
+                node_at(root, address)
+            except IllegalSite:
+                raise GrammarFormatError(
+                    f"provenance address {format_address(address)} is not in the tree"
+                ) from None
+        return PhraseTree(root, provenance)
 
     return _from_json(text, "phrase tree", build, _TOO_DEEP)
 

@@ -144,8 +144,9 @@ def _parse_leaf(kind: str, value: str, line: int) -> TreeNode:
 def parse_tree_expr(text: str) -> TreeNode:
     stream = _TokenStream(tokenize(text))
     node = _parse_node(stream)
-    if stream.peek() is not None:
-        raise GrammarFormatError(f"trailing input after tree: {stream.peek()[1]!r}")
+    extra = stream.peek()
+    if extra is not None:
+        raise GrammarFormatError(f"trailing input after tree: {extra[1]!r}", extra[2])
     return node
 
 

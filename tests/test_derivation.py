@@ -105,6 +105,18 @@ def test_site_out_of_bounds_is_illegal_site(english):
         replace_at(target.root, (2, 4), target.root)
 
 
+def test_sites_are_checked_before_members(english):
+    """Every site is checked against the target before any member is, so
+    a call with both a bad site and a wrong-shape tree names the site."""
+    target = PhraseTree.from_elementary(english.tree("alpha1"))
+    with pytest.raises(IllegalSite, match="address 9 out of bounds"):
+        tf.adjoin(target, (9,), english.tree("alpha2"))
+    with pytest.raises(IllegalSite, match="address 1.3 out of bounds"):
+        tf.substitute(target, (1, 3), english.tree("beta1"))
+    with pytest.raises(IllegalSite, match="node at 1 is a substitution node; adjunction"):
+        tf.adjoin(target, (1,), english.tree("alpha2"))
+
+
 def test_adjoin_label_mismatch(english):
     target = PhraseTree.from_elementary(english.tree("alpha1"))
     with pytest.raises(LabelMismatch):
@@ -518,6 +530,75 @@ def test_deep_script_replays_without_recursion(english):
         sys.setrecursionlimit(limit)
     assert sentence == " ".join(["John"] + ["really"] * depth + ["likes", "Lyn"])
     assert yield_words(root) == sentence.split()
+
+
+def _adjunction_chain(depth: int) -> list[str]:
+    """The lines of a script that stacks ``depth`` adjunctions of beta1 on
+    fig7's VP, each at the root of the one before."""
+    lines = [
+        "use alpha1",
+        "subst alpha2 -> alpha1 @ 1 label 1",
+        "subst alpha3 -> alpha1 @ 2.2 label 2",
+        "adjoin beta1 as b1 -> alpha1 @ 2 label ATTR",
+    ]
+    return lines + [f"adjoin beta1 as b{i} -> b{i - 1} @ 0 label ATTR" for i in range(2, depth + 1)]
+
+
+def test_deep_fault_names_the_site_as_given(english):
+    """A fault under a 2,000-level chain names its site as the script
+    gives it, not by a current address 2,000 components long; and a
+    public ``adjoin`` on a replayed 200-level chain, which first rebuilds
+    it as one piece, matches the eager reference without recursion."""
+    faulty = _adjunction_chain(2_000) + ["subst alpha2 as x -> alpha1 @ 2.1 label 1"]
+    with pytest.raises(ScriptError) as excinfo:
+        tf.run_derivation(english, tf.parse_script("\n".join(faulty), english))
+    assert excinfo.value.step_index == 2002
+    message = str(excinfo.value)
+    assert len(message) < 100 and " at 2.1 " in message
+
+    depth = 200
+    derived, _ = tf.run_derivation(english, tf.parse_script("\n".join(_adjunction_chain(depth)), english))
+    eager = _eager_elementary(english.tree("alpha1"))
+    eager = _eager_substitute(eager, (1,), _eager_elementary(english.tree("alpha2")))
+    eager = _eager_substitute(eager, (2, 2), _eager_elementary(english.tree("alpha3")))
+    for i in range(1, depth + 1):
+        eager = _eager_adjoin(eager, (2,), _eager_elementary(english.tree("beta1"), f"b{i}"))
+    vp = (2,) * (depth + 1)  # alpha1's VP, below every adjoined tree
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        out = tf.adjoin(derived, vp, english.tree("beta1"))
+        _assert_same(out, _eager_adjoin(eager, vp, _eager_elementary(english.tree("beta1"))))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.sentence() == " ".join(["John"] + ["really"] * (depth + 1) + ["likes", "Lyn"])
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (
+            "subst alpha2 as x -> alpha1 @ 2.1 label 1",
+            "step 3: node at 2.1 is an interior node, not a substitution node",
+        ),
+        (
+            "adjoin beta1 as x -> alpha1 @ 2.1.1 label ATTR",
+            "step 3: node at 2.1.1 is an anchor node; adjunction needs an interior node",
+        ),
+        ("subst alpha2 as x -> alpha1 @ 1 label 1", "step 3: substitution node at 1 is already filled"),
+        ("subst alpha2 as x -> alpha1 @ 9 label 1", "step 3: address 9 out of bounds"),
+        (
+            "subst alpha3 as x -> alpha2 @ 0 label 1",
+            "step 3: node at 0 is an interior node, not a substitution node",
+        ),
+    ],
+    ids=["interior", "anchor", "filled", "out-of-bounds", "root"],
+)
+def test_script_fault_messages_name_the_site_as_given(english, step, message):
+    with pytest.raises(ScriptError) as excinfo:
+        tf.run_derivation(english, tf.parse_script(FIG7 + step, english))
+    assert str(excinfo.value) == message
+    assert type(excinfo.value.cause) is IllegalSite
 
 
 def _phrase_chain(depth: int) -> PhraseTree:
@@ -1007,10 +1088,14 @@ def test_derivation_from_json_errors_are_typed(german_mc, text, message):
             "bad address 'x'",
         ),
         ('{"root": {"kind": "bogus", "label": "x"}}', "unknown node kind 'bogus'"),
+        (
+            '{"root": {"kind": "anchor", "label": "x"}, "provenance": {"5.1": {"tree": "a", "address": "0"}}}',
+            "provenance address 5.1 is not in the tree",
+        ),
     ],
     ids=[
         "list", "not-json", "no-label", "leaf-with-children", "childless-interior", "bad-address",
-        "unknown-kind",
+        "unknown-kind", "address-not-in-tree",
     ],
 )
 def test_phrase_from_json_errors_are_typed(text, message):

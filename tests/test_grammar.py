@@ -324,4 +324,7 @@ def test_grammar_format_errors(text, message):
 def test_tree_expression_refuses_trailing_input():
     with pytest.raises(GrammarFormatError) as excinfo:
         tf.parse_tree_expr("(S x!) y!")
-    assert str(excinfo.value) == "trailing input after tree: 'y!'"
+    assert str(excinfo.value) == "line 1: trailing input after tree: 'y!'"
+    with pytest.raises(GrammarFormatError) as excinfo:
+        tf.parse_tree_expr("(S x!)\n\ny!")
+    assert str(excinfo.value) == "line 3: trailing input after tree: 'y!'"
