@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
 
 from .derive import DerivationStep, DerivationTree
 from .errors import RefuseUnbounded
@@ -98,6 +97,7 @@ from .trees import (
     TERMINAL,
     WORD_KINDS,
     Address,
+    Record,
 )
 
 
@@ -108,11 +108,15 @@ class UnparsedSets(UserWarning):
 NOFOOT = (-1, -1)
 
 
-@dataclass
-class ParseResult:
-    recognized: bool
-    derivations: list[DerivationTree]
-    stats: dict = field(default_factory=dict)
+class ParseResult(Record):
+    _fields = ("recognized", "derivations", "stats")
+
+    def __init__(
+        self, recognized: bool, derivations: list[DerivationTree], stats: dict | None = None
+    ):
+        self.recognized = recognized
+        self.derivations = derivations
+        self.stats = {} if stats is None else stats
 
 
 # -- chart states and word contexts ------------------------------------

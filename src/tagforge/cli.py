@@ -4,12 +4,11 @@ Verbs: validate, derive, parse, enumerate, dep, projective, linearize,
 export.  Machine-readable output goes to stdout, diagnostics to stderr;
 exit codes: 0 success, 1 domain error, 2 usage or I/O error.  Each verb
 imports the tagforge modules it uses when it runs, so a process loads
-only its own verb's layers.
+only its own verb's layers, and ``json`` only where it writes JSON.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import GrammarFormatError, TagError
@@ -19,8 +18,11 @@ def _read(path: str) -> str:
     if path.startswith("corpus:"):
         from . import corpus
         return corpus.read(path[len("corpus:"):])
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _emit(text: str, out: str | None):
@@ -44,6 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def count(text: str) -> int:
+        """An integer of 0 or more; argparse names the type after the function."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+        return value
+
     def add(name, help_text, **flags):
         p = sub.add_parser(name, help=help_text)
         if "g" in flags:
@@ -63,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("parse", "parse a sentence against a grammar", g="req")
     p.add_argument("sentence", help="space-separated input words")
-    p.add_argument("--cap", type=int, default=100, help="max derivations returned")
+    p.add_argument("--cap", type=count, default=100, help="max derivations returned")
 
     p = add("enumerate", "enumerate the bounded language", g="req")
-    p.add_argument("--max-trees", type=int, required=True)
+    p.add_argument("--max-trees", type=count, required=True)
 
     add("dep", "dependency tree of a derivation (S arcs inverted)", g="req", s="req")
 
@@ -91,6 +100,7 @@ def _cmd_validate(args) -> int:
     reports = [validate_tree(t) for t in grammar.all_trees()]
     lex = check_lexicalized(grammar)
     if args.format == "json":
+        import json
         payload = {
             "trees": {
                 r.tree_id: {"ok": r.ok, "violations": r.violations, "warnings": r.warnings}
@@ -186,6 +196,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_parse(args) -> int:
+    import json
     from .chart import parse
     grammar = _load_grammar(args)
     words = args.sentence.split()
@@ -221,6 +232,7 @@ def _cmd_enumerate(args) -> int:
     grammar = _load_grammar(args)
     sentences = sorted(enumerate_language(grammar, args.max_trees))
     if args.format == "json":
+        import json
         _emit(json.dumps(sentences, indent=2, ensure_ascii=False), args.out)
     else:
         _emit("\n".join(sentences), args.out)
@@ -243,6 +255,7 @@ def _cmd_projective(args) -> int:
         order = resolve_order(tree, args.order.split())
     report = is_projective(tree, order)
     if args.format == "json":
+        import json
         payload = {"projective": report.projective, "violations": report.violations}
         _emit(json.dumps(payload, indent=2, ensure_ascii=False), args.out)
     else:
@@ -259,6 +272,7 @@ def _cmd_linearize(args) -> int:
     rules = parse_rules(_read(args.rules))
     words = linearize(tree, rules)
     if args.format == "json":
+        import json
         _emit(json.dumps(words, ensure_ascii=False), args.out)
     else:
         _emit(" ".join(words), args.out)

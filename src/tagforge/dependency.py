@@ -23,11 +23,10 @@ to ``is_projective``, ``linearize`` and the exports is checked once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GrammarFormatError, IncompleteOrder, InversionError, UnknownTree
-from .trees import ACTANT_RE, find_cycle
+from .trees import ACTANT_RE, Record, find_cycle
 
 if TYPE_CHECKING:
     from .derive import DerivationTree
@@ -37,28 +36,29 @@ ATTR = "ATTR"
 S_ARC = "S"
 
 
-@dataclass(frozen=True)
-class DepNode:
+class DepNode(NamedTuple):
     id: str
     lexeme: str
     covert: bool = False  # parenthesized deleted actant; has no surface slot
 
 
-@dataclass
-class DependencyTree:
-    root: str
-    nodes: dict[str, DepNode] = field(default_factory=dict)
-    arcs: list[tuple[str, str, str]] = field(default_factory=list)  # (head, dep, label)
-    order: list[str] | None = None  # node ids in surface order
-    # head -> [(dep, label)] in arc order, and the arcs it was built from
-    _index: dict[str, list[tuple[str, str]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _indexed: list[tuple[str, str, str]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # (root, arcs, nodes) as last validated
-    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+class DependencyTree(Record):
+    _fields = ("root", "nodes", "arcs", "order")
+
+    def __init__(
+        self,
+        root: str,
+        nodes: dict[str, DepNode] | None = None,
+        arcs: list[tuple[str, str, str]] | None = None,
+        order: list[str] | None = None,
+    ):
+        self.root = root
+        self.nodes = {} if nodes is None else nodes
+        self.arcs = [] if arcs is None else arcs  # (head, dep, label)
+        self.order = order  # node ids in surface order
+        # head -> [(dep, label)] in arc order, and the arcs it was built from
+        self._index = self._indexed = None
+        self._valid: tuple | None = None  # (root, arcs, nodes) as last validated
 
     def dependent_index(self) -> dict[str, list[tuple[str, str]]]:
         """Head id -> [(dependent id, label)] in arc order.  Built in one
@@ -156,8 +156,7 @@ def _lexeme_for(grammar: Grammar, tree_id: str, is_set: bool) -> str:
     return grammar.tree_sets[tree_id].members[-1].anchor_lexeme or tree_id
 
 
-@dataclass
-class ProjectivityReport:
+class ProjectivityReport(NamedTuple):
     projective: bool
     violations: list[str]
 

@@ -7,7 +7,6 @@ be shared freely between derivations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ from .trees import (
     SUBSTITUTION,
     WORD_KINDS,
     Address,
+    Record,
     TreeNode,
     find_cycle,
     format_address,
@@ -325,15 +325,21 @@ def site_from_texts(
     return sites[0]
 
 
-@dataclass
-class DerivationTree:
+class DerivationTree(Record):
     """One node per elementary tree (or set) occurrence, plus step edges."""
 
-    root: str
-    instances: dict[str, str] = field(default_factory=dict)  # instance -> tree/set id
-    steps: list[DerivationStep] = field(default_factory=list)
-    # (root, instances, steps) as last validated
-    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("root", "instances", "steps")
+
+    def __init__(
+        self,
+        root: str,
+        instances: dict[str, str] | None = None,
+        steps: list[DerivationStep] | None = None,
+    ):
+        self.root = root
+        self.instances = {} if instances is None else instances  # instance -> tree/set id
+        self.steps = [] if steps is None else steps
+        self._valid: tuple | None = None  # (root, instances, steps) as last validated
 
     def _steps_by_parent(self) -> dict[str, list[tuple[int, DerivationStep]]]:
         """Parent instance -> its (step index, step) pairs in script order."""

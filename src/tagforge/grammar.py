@@ -1,9 +1,8 @@
 """Grammars, elementary trees, well-formedness checks and CFG composition."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CompositionError, UnknownTree
 from .trees import (
@@ -14,6 +13,8 @@ from .trees import (
     TERMINAL,
     WORD_KINDS,
     Address,
+    Frozen,
+    Record,
     TreeNode,
     format_address,
     node_at,
@@ -38,23 +39,32 @@ class Word(str):
         return f"Word({str.__repr__(self)})"
 
 
-@dataclass(frozen=True)
-class CfgRule:
+class _CfgRule(NamedTuple):
     lhs: str
     rhs: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.rhs:
+
+class CfgRule(_CfgRule):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, lhs: str, rhs: tuple[str, ...]):
+        if not rhs:
             raise ValueError("CFG rule needs a nonempty right-hand side")
+        return super().__new__(cls, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class ElementaryTree:
+class ElementaryTree(Record, Frozen):
     """An initial or auxiliary tree with at most one lexical anchor."""
 
-    id: str
-    shape: str  # INITIAL or AUXILIARY
-    root: TreeNode
+    _fields = ("id", "shape", "root")
+
+    def __init__(self, id: str, shape: str, root: TreeNode):
+        # Not slotted: the cached properties below are kept in __dict__.
+        self.__dict__.update(id=id, shape=shape, root=root)  # shape: INITIAL or AUXILIARY
+
+    def __hash__(self):
+        return hash((self.id, self.shape, self.root))
 
     @property
     def anchor_lexeme(self) -> str | None:
@@ -97,26 +107,38 @@ class ElementaryTree:
         return list(self._addresses.get(INTERIOR, ()))
 
 
-@dataclass(frozen=True)
-class TreeSet:
-    """Trees that must all be adjoined in one step (non-local MC-TAG)."""
-
+class _TreeSet(NamedTuple):
     id: str
     members: tuple[ElementaryTree, ...]
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError(f"tree set {self.id!r} has no members")
-        ids = [m.id for m in self.members]
+
+class TreeSet(_TreeSet):
+    """Trees that must all be adjoined in one step (non-local MC-TAG)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, id: str, members: tuple[ElementaryTree, ...]):
+        if not members:
+            raise ValueError(f"tree set {id!r} has no members")
+        ids = [m.id for m in members]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"tree set {self.id!r} has duplicate member ids")
+            raise ValueError(f"tree set {id!r} has duplicate member ids")
+        return super().__new__(cls, id, members)
 
 
-@dataclass
-class Grammar:
-    trees: dict[str, ElementaryTree] = field(default_factory=dict)
-    tree_sets: dict[str, TreeSet] = field(default_factory=dict)
-    start_symbol: str | None = None
+class Grammar(Record):
+    _fields = ("trees", "tree_sets", "start_symbol")
+
+    def __init__(
+        self,
+        trees: dict[str, ElementaryTree] | None = None,
+        tree_sets: dict[str, TreeSet] | None = None,
+        start_symbol: str | None = None,
+    ):
+        self.trees = {} if trees is None else trees
+        self.tree_sets = {} if tree_sets is None else tree_sets
+        self.start_symbol = start_symbol
 
     def all_trees(self) -> list[ElementaryTree]:
         trees = list(self.trees.values())
@@ -140,11 +162,15 @@ class Grammar:
         return [t for t in self.trees.values() if t.shape == AUXILIARY]
 
 
-@dataclass
-class ValidationReport:
-    tree_id: str
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    _fields = ("tree_id", "violations", "warnings")
+
+    def __init__(
+        self, tree_id: str, violations: list[str] | None = None, warnings: list[str] | None = None
+    ):
+        self.tree_id = tree_id
+        self.violations = [] if violations is None else violations
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:
@@ -194,8 +220,7 @@ def validate_tree(tree: ElementaryTree) -> ValidationReport:
     return report
 
 
-@dataclass
-class LexicalizationReport:
+class LexicalizationReport(NamedTuple):
     lexicalized: bool
     census: dict[str, int]          # tree id -> anchor count
     offenders: list[str]            # ids of trees with anchor count != 1

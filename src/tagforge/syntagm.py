@@ -44,18 +44,16 @@ call returns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import AmbiguousRule, GrammarFormatError, NoRule, TagError
-from .trees import ACTANT_RE
+from .trees import ACTANT_RE, Record
 
 if TYPE_CHECKING:
     from .dependency import DependencyTree
 
 
-@dataclass(frozen=True)
-class SegmentPair:
+class SegmentPair(NamedTuple):
     y1: tuple[str, ...]
     y2: tuple[str, ...]
 
@@ -66,8 +64,7 @@ class SegmentPair:
         return " ".join(self.y1), " ".join(self.y2)
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     negated: bool
     kind: str  # "any" | "head_cat" | "head_lex" | "exists"
     value: str | None = None  # category or lexeme for the head atoms
@@ -75,24 +72,22 @@ class Condition:
     dep_cat: str | None = None  # category restriction of an exists atom
 
 
-@dataclass(frozen=True)
-class SyntagmRule:
+class SyntagmRule(NamedTuple):
     name: str
     conditions: tuple[Condition, ...]
     y1: tuple[str, ...]  # term names
     y2: tuple[str, ...]
 
 
-@dataclass
-class RuleSet:
-    rules: list[SyntagmRule]
-    classes: dict[str, frozenset[str]]
-    # lexeme -> the first class that lists it
-    _class_of: dict[str, str] = field(init=False, repr=False, compare=False)
+class RuleSet(Record):
+    _fields = ("rules", "classes")
 
-    def __post_init__(self):
-        self._class_of = {}
-        for name, words in self.classes.items():
+    def __init__(self, rules: list[SyntagmRule], classes: dict[str, frozenset[str]]):
+        self.rules = rules
+        self.classes = classes
+        # lexeme -> the first class that lists it
+        self._class_of: dict[str, str] = {}
+        for name, words in classes.items():
             for word in words:
                 self._class_of.setdefault(word, name)
 

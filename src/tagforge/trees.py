@@ -3,12 +3,12 @@
 An address is a tuple of 1-based child indices from the root; the root
 itself is the empty tuple, written ``0`` in the textual formats.  The
 arc-label and cycle helpers at the end are shared by derivation and
-dependency trees.
+dependency trees.  ``Record`` and ``Frozen`` give the plain classes of
+every layer their ``==``, ``repr`` and immutability.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import GrammarFormatError, IllegalSite
@@ -26,27 +26,61 @@ WORD_KINDS = frozenset({ANCHOR, TERMINAL})
 Address = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class Record:
+    """``==`` and ``repr`` over the attributes named in ``_fields``, in
+    order.  Only records of one class compare equal, and records are
+    unhashable unless a subclass defines ``__hash__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Frozen:
+    """Refuses to set or delete attributes; ``__init__`` sets them with
+    ``object.__setattr__`` or through ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TreeNode(Frozen):
     """One node of an elementary or derived phrase-structure tree.
 
     ``label`` is a category label for interior, substitution and foot
     nodes, and a surface word for anchor and terminal nodes.
     """
 
-    kind: str
-    label: str
-    children: tuple["TreeNode", ...] = ()
+    __slots__ = ("kind", "label", "children")
 
-    def __post_init__(self):
-        if self.kind in LEAF_KINDS and self.children:
-            raise ValueError(f"{self.kind} node {self.label!r} must be a leaf")
+    def __init__(self, kind: str, label: str, children: tuple[TreeNode, ...] = ()):
+        if kind in LEAF_KINDS and children:
+            raise ValueError(f"{kind} node {label!r} must be a leaf")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "children", children)
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not setattr
+        return TreeNode, (self.kind, self.label, self.children)
 
     def is_leaf(self) -> bool:
         return self.kind in LEAF_KINDS
 
     # Equality, hash and repr use explicit stacks, so trees of any depth
-    # compare, hash and print (the generated ones recurse per level).
+    # compare, hash and print without recursion.
 
     def __eq__(self, other):
         if not isinstance(other, TreeNode):

@@ -316,3 +316,45 @@ def test_too_deep_json_export_exit_1(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: TagError: phrase tree nests too deep for JSON (the limit is about 500 levels)"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "-g", "{bad}"],
+        ["derive", "-g", "corpus:english.tag", "-s", "{bad}"],
+        ["projective", "-t", "{bad}"],
+        ["linearize", "-t", "corpus:fig18.dep", "-r", "{bad}"],
+    ],
+    ids=["-g", "-s", "-t", "-r"],
+)
+def test_undecodable_input_exit_2(tmp_path, capsys, argv):
+    """A file that is not UTF-8 is an I/O error: one stderr line naming
+    the path, exit 2."""
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff tree")
+    code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text (byte 0: invalid start byte)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["parse", "-g", "corpus:english.tag", "John likes Lyn", "--cap", "-1"], "--cap"),
+        (["enumerate", "-g", "corpus:english.tag", "--max-trees", "-1"], "--max-trees"),
+    ],
+)
+def test_negative_count_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: must be 0 or more, got -1")
+
+
+def test_zero_counts_allowed(capsys):
+    code, out, _ = run(capsys, "parse", "-g", "corpus:english.tag", "John likes Lyn", "--cap", "0")
+    assert (code, out) == (0, "recognized: yes\n")
+    code, out, _ = run(capsys, "enumerate", "-g", "corpus:english.tag", "--max-trees", "0")
+    assert (code, out) == (0, "\n")
