@@ -9,7 +9,10 @@ The chart derives only items an inference rule can use:
 
 - Lexical filter: a tree with an anchor or terminal word missing from the
   input can never cover the whole input, so only trees whose words all
-  occur in it take part (lexicalized tree selection).
+  occur in it take part (lexicalized tree selection).  The state table
+  indexes the trees by their first word, so a parse checks only the
+  trees whose first word occurs in the input, and the trees with no word,
+  which always take part.
 - On-demand foot items: a finished auxiliary tree whose foot spans (i, j)
   can only adjoin onto a node whose bottom item spans (i, j).  So the foot
   item over (i, j) is added once, when the first bottom item with the
@@ -22,7 +25,8 @@ The chart derives only items an inference rule can use:
   a tree changes, is the grammar-level counterpart of the prediction step
   of Earley-style TAG parsing (Schabes & Joshi 1988, "An Earley-type
   parsing algorithm for Tree Adjoining Grammars").  An item is admitted
-  only if the words around its span are in its node's sets.  The sets
+  only if the words around its span are in its node's sets, and each
+  rule tests that before it builds the item or its backpointer.  The sets
   over-approximate real contexts, so every item some complete derivation
   uses is admitted, and every backpointer of such an item has such
   children; the filter drops only items no goal reaches, so derivations,
@@ -44,11 +48,18 @@ contexts from per-state lists instead of building and hashing addresses.
 This is still the item-based CKY of Vijay-Shanker & Joshi 1985; only the
 encoding of the items changed.
 
+Fill is one agenda loop, ``_Chart.run``: the per-state lists and the
+combination indexes are locals and every inference rule is inline, so a
+rule application costs a few list and dict lookups.  Its ``store``, the
+one place an item or a backpointer enters the chart, is called only for
+results the word-context filter admits.
+
 Derivations are read off the items' backpointers (the item and agenda
 scheme of Shieber, Schabes & Pereira 1995).  A backpointer list is final
-once fill ends, so ``parse`` sorts each list once, after fill, into the
-canonical order; ``recognize`` never sorts.  In one item's list, the
-backpointers of one kind hold items of one kind at each position, and
+once fill ends, so ``parse`` sorts a list into the canonical order when
+extraction first reaches its item, and never sorts a list it does not
+read; ``recognize`` never sorts.  In one item's list, the backpointers
+of one kind hold items of one kind at each position, and
 states are numbered in sorted (tree id, address[, k]) order within each
 kind, so sorting int items gives the order that sorting by tree id,
 address and span gives.  Each item and backpointer is stored once, so
@@ -61,8 +72,9 @@ every derivation replays to its sentence is a property checked in
 anchor or terminal strictly widens the span it is substituted or adjoined
 into, and the unary steps inside one tree only move up its addresses, so
 without wordless trees no item derives itself: the chart is acyclic and
-every item has finitely many derivations.  ``recognize`` accepts such
-grammars, since fill terminates on them anyway.
+every item has finitely many derivations.  The state table lists the
+wordless trees, so this check scans no tree per parse.  ``recognize``
+accepts such grammars, since fill terminates on them anyway.
 
 Derivations are read off in one memoized pass, the k-best recurrence of
 Huang & Chiang 2005 ("Better k-best parsing", Algorithms 1-2) with
@@ -86,6 +98,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from operator import is_
 
 from .derive import DerivationStep, DerivationTree
 from .errors import RefuseUnbounded
@@ -103,9 +116,6 @@ from .trees import (
 
 class UnparsedSets(UserWarning):
     """The grammar contains tree sets, which the parser ignores."""
-
-
-NOFOOT = (-1, -1)
 
 
 class ParseResult(Record):
@@ -173,13 +183,16 @@ class _States:
 
     ``leaves`` holds, per tree in grammar order, its word leaves, its
     substitution leaves and its feet as ``(label, T state)`` lists, so a
-    parse only applies the lexical filter.  ``key`` identifies the
+    parse only applies the lexical filter.  ``by_first_word`` maps a word
+    to the trees (grammar-order indexes into ``leaves``) whose first word
+    it is, and ``wordless`` lists the trees with no word, so a parse looks
+    only at the trees its input can keep.  ``key`` identifies the
     grammar it was built from (start symbol, and tree ids and tree
     objects, compared by identity), so a changed grammar gets a new table.
     """
 
     def __init__(self, grammar: Grammar):
-        self.key = (grammar.start_symbol, tuple(grammar.trees.items()))
+        self.key = (grammar.start_symbol, tuple(grammar.trees), tuple(grammar.trees.values()))
         self.bits: dict[str, int] = {}
         for tree in grammar.trees.values():
             for word in tree.words:
@@ -229,7 +242,9 @@ class _States:
                 else:
                     self.top_of[part] = tops[tid, addr]
         self.leaves: list[tuple[list, list, list]] = []
-        for tid, tree in grammar.trees.items():
+        self.by_first_word: dict[str, list[int]] = {}
+        self.wordless: list[int] = []
+        for index, (tid, tree) in enumerate(grammar.trees.items()):
             if tree.shape != INITIAL:
                 root = "S" if tree.root.label == grammar.start_symbol else "ATTR"
                 self.arcs[tops[tid, ()]] = root
@@ -244,16 +259,17 @@ class _States:
                 elif node.kind == FOOT:
                     feet.append(leaf)
             self.leaves.append((words, substs, feet))
+            if words:
+                self.by_first_word.setdefault(words[0][0], []).append(index)
+            else:
+                self.wordless.append(index)
 
     def fresh(self, grammar: Grammar) -> bool:
-        start, items = self.key
+        start, ids, trees = self.key
         return (
             start == grammar.start_symbol
-            and len(items) == len(grammar.trees)
-            and all(
-                tid == tid2 and tree is tree2
-                for (tid, tree), (tid2, tree2) in zip(items, grammar.trees.items())
-            )
+            and ids == tuple(grammar.trees)
+            and all(map(is_, trees, grammar.trees.values()))
         )
 
 
@@ -349,17 +365,21 @@ class _Chart:
         # Word-context filter: the bit number of the word just before
         # and just after each position; a word the grammar lacks gets a
         # bit no mask has.
-        self.masks = states.masks
         numbers = [states.bits.get(word, len(states.bits) + 2) for word in words]
         self.before = [_BOS] + numbers
         self.after = numbers + [_EOS]
-        # Lexical filter: the word leaves of the kept trees, and their
-        # substitution leaves and feet by label.
+        # Lexical filter, over the trees whose first word occurs in the
+        # input and the wordless ones, in grammar order: the word leaves of
+        # the kept trees, and their substitution leaves and feet by label.
+        candidates = set(states.wordless)
+        for word in self.positions:
+            candidates.update(states.by_first_word.get(word, ()))
         self.kept = 0
         self.word_leaves: list[tuple[str, int]] = []
         self.subst_leaves: dict[str, list[int]] = {}
         self.feet: dict[str, list[int]] = {}
-        for word_leaves, substs, feet in states.leaves:
+        for t in sorted(candidates):
+            word_leaves, substs, feet = states.leaves[t]
             if any(word not in self.positions for word, _ in word_leaves):
                 continue
             self.kept += 1
@@ -369,112 +389,129 @@ class _Chart:
             for label, s in feet:
                 self.feet.setdefault(label, []).append(s)
         self.backpointers: dict[tuple, list[tuple]] = {}
-        self.agenda: list[tuple] = []
-        # Combination indexes.  Tops and parts (P and first-child T items)
-        # meet on (T state of a child k >= 2, position): tops by where they
-        # start, parts by where they end and which child they wait for.
-        self.tops_by_start: dict[tuple, list[tuple]] = {}
-        self.parts_by_end: dict[tuple, list[tuple]] = {}
-        self.bots_by_span: dict[tuple, list[tuple]] = {}
-        self.aux_by_foot: dict[tuple, list[tuple]] = {}
         self.goals: list[tuple] = []
 
     def run(self):
-        self._axioms()
-        parts = self.states.first_part
-        while self.agenda:
-            item = self.agenda.pop()
-            if item[0] < parts:
-                self._process_top(item)
-            else:
-                self._process_part(item)
-        return self
+        """Fill the chart: one agenda loop applies every inference rule.
 
-    # -- item admission ------------------------------------------------
+        Each rule tests the word-context masks of its result's state and
+        span before it builds the item and its backpointer, and ``store``
+        is the one place an item or backpointer enters the chart.  No rule
+        makes the same backpointer twice, so none is looked for."""
+        states = self.states
+        masks, before, after = states.masks, self.before, self.after
+        child_no, parent_part = states.child_no, states.parent_part
+        next_child, top_of = states.next_child, states.top_of
+        labels, initial, parts = states.labels, states.initial, states.first_part
+        subst_leaves, feet = self.subst_leaves, self.feet
+        start, n, goals = self.start, self.n, self.goals
+        backpointers = self.backpointers
+        agenda: list[tuple] = []
+        push, pop = agenda.append, agenda.pop
+        # Combination indexes.  Tops and parts (P and first-child T items)
+        # meet on (T state of a child k >= 2, position): tops by where they
+        # start, parts by where they end and which child they wait for.
+        tops_by_start: dict[tuple, list[tuple]] = {}
+        parts_by_end: dict[tuple, list[tuple]] = {}
+        bots_by_span: dict[tuple, list[tuple]] = {}
+        aux_by_foot: dict[tuple, list[tuple]] = {}
 
-    def _add(self, item: tuple, bp: tuple):
-        # The word-context filter first: it refuses more items than the
-        # chart already holds.  No rule makes the same backpointer twice,
-        # so none is looked for.
-        left, right = self.masks[item[0]]
-        if left >> self.before[item[1]] & 1 and right >> self.after[item[2]] & 1:
-            bps = self.backpointers.get(item)
+        def store(item: tuple, bp: tuple):
+            bps = backpointers.get(item)
             if bps is None:
-                self.backpointers[item] = [bp]
-                self.agenda.append(item)
+                backpointers[item] = [bp]
+                push(item)
             else:
                 bps.append(bp)
 
-    def _axioms(self):
-        for word, s in self.word_leaves:
+        for word, s in self.word_leaves:  # axioms
+            left, right = masks[s]
             for i in self.positions[word]:
-                self._add((s, i, i + 1, *NOFOOT), ("lex", i))
-
-    # -- inference -----------------------------------------------------
-
-    def _process_top(self, item: tuple):
-        s, i, _, _, _ = item
-        k = self.states.child_no[s]
-        if k == 1:  # its parent's first child done
-            self._process_part(item)
-        elif k:
-            for part in self.parts_by_end.get((s, i), ()):
-                self._combine(part, item)
-            # Only a child k >= 2 is looked up here: a first child starts
-            # its parent's parts and never extends one.
-            self.tops_by_start.setdefault((s, i), []).append(item)
-        else:
-            self._process_complete(item)
-
-    def _combine(self, part: tuple, top: tuple):
-        _, i, _, p1, q1 = part
-        s2, _, j2, p2, q2 = top
-        if p1 >= 0 and p2 >= 0:
-            return  # one foot per elementary tree
-        foot = (p1, q1) if p1 >= 0 else (p2, q2)
-        self._add((self.states.parent_part[s2], i, j2, *foot), ("concat", part, top))
-
-    def _process_part(self, item: tuple):
-        s, _, j, _, _ = item
-        child = self.states.next_child[s]
-        if child < 0:
-            self._process_bottom(item)
-        else:
-            for top in self.tops_by_start.get((child, j), ()):
-                self._combine(item, top)
-            self.parts_by_end.setdefault((child, j), []).append(item)
-
-    def _process_bottom(self, item: tuple):  # the node before adjunction
-        s, i, j, p, q = item
-        top = self.states.top_of[s]
-        self._add((top, i, j, p, q), ("noadj", item))
-        label = self.states.labels[top]
-        bots = self.bots_by_span.get((label, i, j))
-        if bots is None:  # the span's foot items, once per label
-            bots = self.bots_by_span[label, i, j] = []
-            for foot in self.feet.get(label, ()):
-                self._add((foot, i, j, i, j), ("foot",))
-        for aux in self.aux_by_foot.get((label, i, j), ()):
-            self._adjoin(item, aux)
-        bots.append(item)
-
-    def _adjoin(self, bottom: tuple, aux_complete: tuple):
-        s, _, _, p, q = bottom
-        _, ai, aj, _, _ = aux_complete
-        self._add((self.states.top_of[s], ai, aj, p, q), ("adjoin", bottom, aux_complete))
-
-    def _process_complete(self, item: tuple):
-        s, i, j, p, q = item
-        label = self.states.labels[s]
-        if self.states.initial[s]:
-            for leaf in self.subst_leaves.get(label, ()):
-                self._add((leaf, i, j, *NOFOOT), ("subst", item))
-            if label == self.start and i == 0 and j == self.n:
-                self.goals.append(item)
-        else:
-            for bottom in self.bots_by_span.get((label, p, q), ()):
-                self._adjoin(bottom, item)
-            self.aux_by_foot.setdefault((label, p, q), []).append(item)
+                if left >> before[i] & 1 and right >> after[i + 1] & 1:
+                    store((s, i, i + 1, -1, -1), ("lex", i))
+        while agenda:
+            item = pop()
+            s, i, j, p, q = item
+            if s < parts:
+                k = child_no[s]
+                if k > 1:  # child k finished: it extends the parts waiting for it
+                    key = (s, i)
+                    waiting = parts_by_end.get(key)
+                    if waiting:
+                        t = parent_part[s]
+                        left, right = masks[t]
+                        if right >> after[j] & 1:
+                            for part in waiting:
+                                _, i1, _, p1, q1 = part
+                                if not left >> before[i1] & 1:
+                                    continue
+                                if p1 < 0:
+                                    store((t, i1, j, p, q), ("concat", part, item))
+                                elif p < 0:  # one foot per elementary tree
+                                    store((t, i1, j, p1, q1), ("concat", part, item))
+                    # Only a child k >= 2 is looked up here: a first child
+                    # starts its parent's parts and never extends one.
+                    tops_by_start.setdefault(key, []).append(item)
+                    continue
+                if not k:  # a root: the finished tree substitutes or adjoins
+                    label = labels[s]
+                    bi, aj = before[i], after[j]
+                    if initial[s]:
+                        for leaf in subst_leaves.get(label, ()):
+                            left, right = masks[leaf]
+                            if left >> bi & 1 and right >> aj & 1:
+                                store((leaf, i, j, -1, -1), ("subst", item))
+                        if label == start and i == 0 and j == n:
+                            goals.append(item)
+                    else:
+                        key = (label, p, q)
+                        for bottom in bots_by_span.get(key, ()):
+                            t = top_of[bottom[0]]
+                            left, right = masks[t]
+                            if left >> bi & 1 and right >> aj & 1:
+                                store((t, i, j, bottom[3], bottom[4]), ("adjoin", bottom, item))
+                        aux_by_foot.setdefault(key, []).append(item)
+                    continue
+                # k == 1: a first child is also its parent's first child done.
+            child = next_child[s]
+            if child >= 0:  # a part: it waits for its next child
+                key = (child, j)
+                tops = tops_by_start.get(key)
+                if tops:
+                    t = parent_part[child]
+                    left, right = masks[t]
+                    if left >> before[i] & 1:
+                        for top in tops:
+                            _, _, j2, p2, q2 = top
+                            if not right >> after[j2] & 1:
+                                continue
+                            if p < 0:
+                                store((t, i, j2, p2, q2), ("concat", item, top))
+                            elif p2 < 0:  # one foot per elementary tree
+                                store((t, i, j2, p, q), ("concat", item, top))
+                parts_by_end.setdefault(key, []).append(item)
+                continue
+            # A bottom item, all of a node's children: the node is finished
+            # with no adjunction, or by an auxiliary tree whose foot spans (i, j).
+            t = top_of[s]
+            left, right = masks[t]
+            if left >> before[i] & 1 and right >> after[j] & 1:
+                store((t, i, j, p, q), ("noadj", item))
+            label = labels[t]
+            key = (label, i, j)
+            bots = bots_by_span.get(key)
+            if bots is None:  # the span's foot items, once per label
+                bots = bots_by_span[key] = []
+                for foot in feet.get(label, ()):
+                    left2, right2 = masks[foot]
+                    if left2 >> before[i] & 1 and right2 >> after[j] & 1:
+                        store((foot, i, j, i, j), ("foot",))
+            for aux in aux_by_foot.get(key, ()):
+                _, i2, j2, _, _ = aux
+                if left >> before[i2] & 1 and right >> after[j2] & 1:
+                    store((t, i2, j2, p, q), ("adjoin", item, aux))
+            bots.append(item)
+        return self
 
 
 # -- derivation extraction --------------------------------------------
@@ -488,14 +525,15 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
 
     Every item reached gets the list of its first ``cap`` derivations (an
     ops tuple each), built once from its children's finished lists and
-    shared by every item that uses it.  An item reads its sorted
-    backpointers in order and stops once it has ``cap``, so a child is
-    reached only when a derivation needs it.  An explicit stack of frames
-    ``[item, next backpointer, derivations so far]`` drives the pass: a
-    child still to build is pushed above the frame that needs it and is
-    finished before that frame resumes, so nothing recurses.  An op is
-    ``(op, site, arc label, child tree id, child ops)``, read off the
-    state table, so building a derivation needs no grammar lookups.
+    shared by every item that uses it.  An item's backpointers are sorted
+    when its frame is pushed; it reads them in order and stops once it has
+    ``cap``, so a child is reached only when a derivation needs it.  An
+    explicit stack of frames ``[item, next backpointer, derivations so
+    far]`` drives the pass: a child still to build is pushed above the
+    frame that needs it and is finished before that frame resumes, so
+    nothing recurses.  An op is ``(op, site, arc label, child tree id,
+    child ops)``, read off the state table, so building a derivation needs
+    no grammar lookups.
 
     The chart must be acyclic (``parse`` checks that the grammar has no
     tree without a word), so no item is needed while its own frame is
@@ -524,6 +562,7 @@ def _first_derivations(chart: _Chart, goals: list[tuple], cap: int) -> list[Deri
             if len(bps) == 1 and bps[0][0] in _LEAF:
                 vals = leaf
             else:
+                bps.sort()  # final once fill ends, so sorted when first reached
                 vals = lists[item] = []
                 stack.append([item, 0, vals])
         lists[key] = vals
@@ -642,35 +681,35 @@ def recognize(grammar: Grammar, words: list[str]) -> bool:
 def parse(grammar: Grammar, words: list[str], cap: int = 100) -> ParseResult:
     """Recognize and enumerate the first ``cap`` derivations.
 
-    After fill, each backpointer list is sorted once, and enumeration
-    follows that canonical order (tree ids, then addresses, then spans).
-    Every item and backpointer is stored once, so the enumeration yields
-    each derivation once: ``min(cap, total)`` are returned, with no
-    dedupe.  Each item reached builds at most ``cap`` derivations, once,
-    and shares them with every item that uses it, so the cost grows with
-    the derivations returned; an explicit stack, not recursion, walks the
-    chart, so no derivation is too deep for it.  A grammar with a tree
+    Each backpointer list is sorted when enumeration first reaches its
+    item, and enumeration follows that canonical order (tree ids, then
+    addresses, then spans).  Every item and backpointer is stored once,
+    so the enumeration yields each derivation once: ``min(cap, total)``
+    are returned, with no dedupe.  Each item reached builds at most
+    ``cap`` derivations, once, and shares them with every item that uses
+    it, so the cost grows with the derivations returned; an explicit
+    stack, not recursion, walks the chart, so no derivation is too deep
+    for it.  A grammar with a tree
     that has no word could make a chart item derive itself, so it is
-    refused with ``RefuseUnbounded`` before fill, at any ``cap``.  The derivations are
-    read off the chart and not replayed; ``tests/test_parser.py`` checks
-    that each one replays to ``words``.  The word-context filter keeps
-    only items whose neighbouring words the grammar allows; it drops no
-    item a derivation uses, so it changes ``stats["items"]`` and not the
-    derivations.
+    refused with ``RefuseUnbounded`` before the chart is built, at any
+    ``cap``.  The derivations are read off the chart and not replayed;
+    ``tests/test_parser.py`` checks that each one replays to ``words``.
+    The word-context filter keeps only items whose neighbouring words the
+    grammar allows; it drops no item a derivation uses, so it changes
+    ``stats["items"]`` and not the derivations.
     """
     _check_parseable(grammar)
-    wordless = [tid for tid, tree in grammar.trees.items() if not tree.words]
+    wordless = _chart_states(grammar).wordless
     if wordless:
+        ids = list(grammar.trees)
         raise RefuseUnbounded(
             "cannot bound the derivations of a chart item that may derive "
-            f"itself; trees with no word: {', '.join(wordless)}"
+            f"itself; trees with no word: {', '.join(ids[t] for t in wordless)}"
         )
     started = time.perf_counter()
     chart = _Chart(grammar, list(words)).run()
     derivations = []
     if cap > 0:
-        for bps in chart.backpointers.values():
-            bps.sort()  # final once fill ends, so sorted once, not per visit
         # Goals differ only in tree id; sorting fixes their order, which
         # otherwise follows the agenda.
         derivations = _first_derivations(chart, sorted(chart.goals), cap)

@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (OSError, KeyError, GrammarFormatError) as exc:
+    except (OSError, GrammarFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TagError as exc:

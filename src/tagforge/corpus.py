@@ -22,6 +22,6 @@ FILES = (
 
 def read(name: str) -> str:
     if name not in FILES:
-        raise KeyError(f"no bundled corpus file {name!r}")
+        raise FileNotFoundError(f"no bundled corpus file {name!r}")
     return (resources.files("tagforge") / "corpus" / name).read_text(encoding="utf-8")
 

@@ -185,7 +185,7 @@ def test_missing_file_exit_2(capsys):
 def test_unknown_corpus_file_exit_2(capsys):
     code, _, err = run(capsys, "validate", "-g", "corpus:nonexistent.tag")
     assert code == 2
-    assert err == "error: \"no bundled corpus file 'nonexistent.tag'\"\n"
+    assert err == "error: no bundled corpus file 'nonexistent.tag'\n"
 
 
 def test_format_error_exit_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from tagforge.errors import RefuseUnbounded
 from tagforge.exports import derivation_from_json, derivation_to_json
 
 from conftest import load_script
-from test_random_grammars import GRAMMARS, random_grammar
+from test_random_grammars import GRAMMARS, random_grammar, sentences as random_sentences
 
 GOLDEN = Path(__file__).parent / "data" / "derivations.json"
 DIGESTS = Path(__file__).parent / "data" / "derivation_digests.json"
@@ -356,13 +356,32 @@ def test_state_numbers_sort_like_their_keys(english, english_wh, dutch, german_m
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
-def test_item_counts_are_pinned(english):
+# Criterion 9's grammar: ``Jan^(d+1) helpen^d zwemmen`` is cross-serial.
+CROSS_SERIAL_GRAMMAR = """
+start S
+tree alpha_zw  initial (S (S NP!) (S "zwemmen"@))
+tree beta_help aux     (S (S NP! S*) "helpen"@)
+tree np_jan    initial (NP "Jan"@)
+"""
+
+
+def test_item_counts_are_pinned(english, english_wh):
     """The chart builds exactly these items; a change of item encoding or
-    filter order leaves the counts as they are."""
+    filter order leaves the counts as they are.  The cross-serial and wh
+    sentences are the adjunction-heavy ones: their raising verbs and
+    bridge verbs build foot items and adjoin at every span they can."""
     for k, items in ((96, 396), (128, 524), (256, 1_036), (600, 2_412)):
         assert tf.parse(english, _adverbs(k), cap=1).stats["items"] == items, k
     words = "John saw Lyn".split() + ["with", "telescope"] * 8
     assert tf.parse(tf.parse_grammar(PP_GRAMMAR), words, cap=1).stats["items"] == 656
+    cross_serial = tf.parse_grammar(CROSS_SERIAL_GRAMMAR)
+    for d, items in ((16, 2_824), (32, 19_208)):
+        words = ["Jan"] * (d + 1) + ["helpen"] * d + ["zwemmen"]
+        assert tf.parse(cross_serial, words, cap=1).stats["items"] == items, d
+    for m, items in ((32, 1_532), (64, 5_084)):
+        words = "Who do you think that".split() + "Mary claimed that".split() * m
+        words += ["Sarah", "liked"]
+        assert tf.parse(english_wh, words, cap=1).stats["items"] == items, m
 
 
 def test_recognize_long_adverb_stack(english):
@@ -533,6 +552,55 @@ def test_parse_refuses_wordless_trees(cfg_english, monkeypatch):
                         tf.parse(grammar, sentence.split(), cap=cap)
                     assert str(excinfo.value).rsplit(": ", 1)[1].split(", ") == wordless
             assert tf.recognize(grammar, sentence.split()) is verdict
+
+
+def test_lexical_filter_matches_brute_force(english, english_wh, dutch, german_mc, cfg_english):
+    """The chart keeps exactly the trees whose words all occur in the
+    input, though it checks only the trees its word index offers: those
+    whose first word occurs, and every tree with no word.  Checked on the
+    corpus grammars, criterion 8's CFG (wordless ``r1`` and ``r3``) and
+    random grammars, over their sentences and seeded corruptions of them
+    (a word dropped, inserted, swapped or replaced; an inserted or new word
+    may be one no tree has)."""
+    grammars = (english, english_wh, dutch, german_mc)
+    cases = [(g, sorted(tf.enumerate_language(g, 5))) for g in grammars]
+    cases.append((cfg_english, cases[0][1]))
+    for seed in random.Random(26).sample(range(GRAMMARS), 40):
+        grammar = tf.parse_grammar(random_grammar(seed))
+        cases.append((grammar, [" ".join(w) for w in random_sentences(seed, grammar)]))
+    rng = random.Random(26)
+    wordless_seen = 0
+    for grammar, sentences in cases:
+        vocab = sorted({w for tree in grammar.trees.values() for w in tree.words}) + ["unknown"]
+        wordless = {tid for tid, tree in grammar.trees.items() if not tree.words}
+        for sentence in sentences:
+            inputs = [sentence.split()]
+            for _ in range(3):
+                words = sentence.split()
+                edit = rng.choice(("drop", "insert", "swap", "replace"))
+                if edit == "drop":
+                    del words[rng.randrange(len(words))]
+                elif edit == "insert":
+                    words.insert(rng.randrange(len(words) + 1), rng.choice(vocab))
+                elif edit == "swap" and len(words) > 1:
+                    i, j = rng.sample(range(len(words)), 2)
+                    words[i], words[j] = words[j], words[i]
+                else:
+                    words[rng.randrange(len(words))] = rng.choice(vocab)
+                inputs.append(words)
+            for words in inputs:
+                expected = {
+                    tid for tid, tree in grammar.trees.items() if set(tree.words) <= set(words)
+                }
+                built = chart._Chart(grammar, words)
+                leaves = [s for _, s in built.word_leaves]
+                for by_label in (built.subst_leaves, built.feet):
+                    leaves += [s for group in by_label.values() for s in group]
+                kept = {built.states.tids[s] for s in leaves}
+                assert built.kept == len(expected) and kept == expected, (sentence, words)
+                assert wordless <= kept
+                wordless_seen += len(wordless)
+    assert wordless_seen
 
 
 def test_recognize_cfg_and_its_lexicalized_tag_agree(english, cfg_english):
