@@ -38,6 +38,13 @@ def _load_grammar(args):
     return parse_grammar(_read(args.grammar))
 
 
+def _load_script(args):
+    """The grammar read with -g and the script read with -s against it."""
+    from .derive import parse_script
+    grammar = _load_grammar(args)
+    return grammar, parse_script(_read(args.script), grammar)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tagforge",
@@ -183,15 +190,11 @@ def _tuple_repr(value) -> str:
 
 
 def _cmd_derive(args) -> int:
-    from .derive import parse_script, run_derivation
-    grammar = _load_grammar(args)
-    script = parse_script(_read(args.script), grammar)
-    derived, sentence = run_derivation(grammar, script)
     # Unlike export, derive prints the derived sentence as its text.
-    if args.format == "text":
-        _emit(sentence, args.out)
-    else:
-        _emit(_render("derived", args.format, derived), args.out)
+    if args.format != "text":
+        return _export(args, "derived")
+    from .derive import run_derivation
+    _emit(run_derivation(*_load_script(args))[1], args.out)
     return 0
 
 
@@ -212,9 +215,7 @@ def _cmd_parse(args) -> int:
         if args.format == "json":
             payload = {
                 "recognized": result.recognized,
-                "derivations": [
-                    json.loads(exports.derivation_to_json(d)) for d in result.derivations
-                ],
+                "derivations": [exports.derivation_data(d) for d in result.derivations],
                 "stats": result.stats,
             }
             _emit(json.dumps(payload, indent=2, ensure_ascii=False), args.out)
@@ -236,14 +237,6 @@ def _cmd_enumerate(args) -> int:
         _emit(json.dumps(sentences, indent=2, ensure_ascii=False), args.out)
     else:
         _emit("\n".join(sentences), args.out)
-    return 0
-
-
-def _cmd_dep(args) -> int:
-    from .derive import parse_script
-    grammar = _load_grammar(args)
-    script = parse_script(_read(args.script), grammar)
-    _emit(_render("dep", args.format, _structure("dep", grammar, script)), args.out)
     return 0
 
 
@@ -279,15 +272,15 @@ def _cmd_linearize(args) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
-    if args.tree:
+def _export(args, what: str) -> int:
+    """Print, by --format, the structure ``what`` (see ``_structure``) of
+    the grammar and script, or the dependency tree read with -t, which
+    only ``export`` takes."""
+    if getattr(args, "tree", None):
         from .dependency import parse_dependency
         what, value = "dep", parse_dependency(_read(args.tree))
     elif args.grammar and args.script:
-        from .derive import parse_script
-        grammar = _load_grammar(args)
-        script = parse_script(_read(args.script), grammar)
-        what, value = args.what, _structure(args.what, grammar, script)
+        value = _structure(what, *_load_script(args))
     else:
         print("export needs either -t, or -g with -s", file=sys.stderr)
         return 2
@@ -300,10 +293,10 @@ _COMMANDS = {
     "derive": _cmd_derive,
     "parse": _cmd_parse,
     "enumerate": _cmd_enumerate,
-    "dep": _cmd_dep,
+    "dep": lambda args: _export(args, "dep"),
     "projective": _cmd_projective,
     "linearize": _cmd_linearize,
-    "export": _cmd_export,
+    "export": lambda args: _export(args, args.what),
 }
 
 

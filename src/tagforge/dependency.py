@@ -4,11 +4,11 @@ The bridge turns a derivation tree into an MTT-style dependency tree:
 actant and ATTR arcs are copied as they are, while every S-labeled arc
 (matrix clause adjoined into its complement) is reversed.
 
-Every walk over a tree reads one head -> dependents index, built in one
-pass over ``arcs`` (in arc order) and rebuilt only after ``arcs``
-changes; nothing rescans the arc list per node.  ``is_projective``
-numbers the nodes in pre- and postorder in one traversal, so "is X below
-H" is a constant-time test, and finds for every position the nearest
+Every walk over a tree reads one head -> dependents index, which
+``validate`` builds in its one pass over ``arcs`` (in arc order); nothing
+rescans the arc list per node.  ``is_projective`` numbers the nodes in
+pre- and postorder in one traversal, so "is X below H" is a
+constant-time test, and finds for every position the nearest
 non-dependent on either side with monotone stacks.  The verdict is thus
 linear in the tree and order; only failing arcs are scanned to list the
 violations.  Validation, parsing, serialization and projectivity use
@@ -16,9 +16,11 @@ explicit stacks and memory linear in the tree, so chains 10^4 levels
 deep need no recursion.
 
 ``validate`` keeps a copy of the root, arcs and nodes it last found
-valid, and checks the tree again only when they have changed since, so
-a tree passed from ``parse_dependency`` or ``derivation_to_dependency``
-to ``is_projective``, ``linearize`` and the exports is checked once.
+valid, with the index it built from them, and checks the tree again only
+when they have changed since, so a tree passed from ``parse_dependency``
+or ``derivation_to_dependency`` to ``is_projective``, ``linearize`` and
+the exports is checked and indexed once.  ``dependent_index`` validates
+first, so no walk reads an invalid tree.
 """
 from __future__ import annotations
 
@@ -56,19 +58,14 @@ class DependencyTree(Record):
         self.nodes = {} if nodes is None else nodes
         self.arcs = [] if arcs is None else arcs  # (head, dep, label)
         self.order = order  # node ids in surface order
-        # head -> [(dep, label)] in arc order, and the arcs it was built from
-        self._index = self._indexed = None
         self._valid: tuple | None = None  # (root, arcs, nodes) as last validated
+        self._index: dict[str, list[tuple[str, str]]] = {}  # built with _valid
 
     def dependent_index(self) -> dict[str, list[tuple[str, str]]]:
-        """Head id -> [(dependent id, label)] in arc order.  Built in one
-        pass over ``arcs`` and rebuilt whenever they have changed; the
-        lists are shared, so callers must not mutate them."""
-        if self._indexed != self.arcs:
-            index: dict[str, list[tuple[str, str]]] = {}
-            for head, dep, label in self.arcs:
-                index.setdefault(head, []).append((dep, label))
-            self._index, self._indexed = index, list(self.arcs)
+        """Head id -> [(dependent id, label)] in arc order, as ``validate``
+        last built it; the lists are shared, so callers must not mutate
+        them.  An invalid tree raises ``GrammarFormatError``."""
+        self.validate()
         return self._index
 
     def dependents(self, node_id: str) -> list[tuple[str, str]]:
@@ -79,20 +76,23 @@ class DependencyTree(Record):
 
     def validate(self) -> None:
         """Check that the arcs form one tree over the nodes from ``root``,
-        with distinct actant indices at each node.  A tree checked once is
-        checked again only after its root, arcs or nodes have changed."""
-        if self._valid is not None and self._valid == (self.root, self.arcs, self.nodes):
+        with distinct actant indices at each node, and build the head ->
+        dependents index in the same pass.  A tree checked once is checked
+        again only after its root, arcs or nodes have changed."""
+        if self._valid == (self.root, self.arcs, self.nodes):
             return
         nodes = self.nodes
         if self.root not in nodes:
             raise GrammarFormatError(f"root {self.root!r} is not a node")
         heads: dict[str, str] = {}
+        index: dict[str, list[tuple[str, str]]] = {}
         for head, dep, label in self.arcs:
             if head not in nodes or dep not in nodes:
                 raise GrammarFormatError(f"arc {head}->{dep} references unknown node")
             if dep in heads:
                 raise GrammarFormatError(f"node {dep!r} has two heads")
             heads[dep] = head
+            index.setdefault(head, []).append((dep, label))
         if self.root in heads:
             raise GrammarFormatError("root has a head")
         if len(heads) != len(nodes) - 1:
@@ -110,7 +110,7 @@ class DependencyTree(Record):
                 seen.add(actant)
             node = next(n for n in nodes if n in twice)
             raise GrammarFormatError(f"node {node!r} has two actants with the same index")
-        self._valid = (self.root, list(self.arcs), dict(self.nodes))
+        self._valid, self._index = (self.root, list(self.arcs), dict(self.nodes)), index
 
 
 def derivation_to_dependency(derivation: DerivationTree, grammar: Grammar) -> DependencyTree:
@@ -200,7 +200,7 @@ def is_projective(
     words left to right, then a line if the arc covers the root.  A node
     placed twice counts at its last position but is listed where it was
     first placed."""
-    tree.validate()
+    index = tree.dependent_index()
     if order is None:
         order = tree.order
     if order is None:
@@ -218,7 +218,7 @@ def is_projective(
     # clean iff the nearest position beyond its head, towards its
     # dependent, that holds a node not below the head lies past the
     # dependent.
-    pre, post = _pre_post_numbers(tree)
+    pre, post = _pre_post_numbers(tree.root, index)
     keys = [None if n is None else (pre[n], post[n]) for n in slots]
     right = _nearest_outside(keys, range(len(keys) - 1, -1, -1), len(keys), min)
     left = _nearest_outside(keys, range(len(keys)), -1, max)
@@ -251,12 +251,13 @@ def is_projective(
     return ProjectivityReport(not violations, violations)
 
 
-def _pre_post_numbers(tree: DependencyTree) -> tuple[dict[str, int], dict[str, int]]:
+def _pre_post_numbers(
+    root: str, index: dict[str, list[tuple[str, str]]]
+) -> tuple[dict[str, int], dict[str, int]]:
     """Each node's preorder and postorder number, from one traversal."""
-    index = tree.dependent_index()
     pre: dict[str, int] = {}
     post: dict[str, int] = {}
-    stack = [(tree.root, False)]
+    stack = [(root, False)]
     while stack:
         node_id, leaving = stack.pop()
         if leaving:
@@ -359,7 +360,6 @@ def parse_dependency(text: str) -> DependencyTree:
 
 def serialize_dependency(tree: DependencyTree) -> str:
     """The nested-block text of a valid tree, dependents in arc order."""
-    tree.validate()
     index = tree.dependent_index()
     out = ["dep"]
     stack: list[tuple[str, str | None] | None] = [(tree.root, None)]  # None closes a block

@@ -498,6 +498,7 @@ def run_derivation(grammar: Grammar, script: DerivationTree) -> tuple[PhraseTree
 
 
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
+_USE_RE = re.compile(r"^use\s+(?P<tree>\S+)(?:\s+as\s+(?P<alias>\S+))?$")
 _STEP_RE = re.compile(
     rf"^(?P<op>{'|'.join(_OPS)})\s+(?P<child>\S+?)(?:\s+as\s+(?P<alias>\S+))?"
     r"\s*->\s*(?P<parent>\S+)\s*@\s*(?P<sites>[\d.,\s]+?)\s+label\s+(?P<label>\S+)$"
@@ -530,14 +531,12 @@ def parse_script(text: str, grammar: Grammar | None = None) -> DerivationTree:
                 statements.append((lineno, part))
 
     for lineno, stmt in statements:
-        if stmt.startswith("use "):
+        m = _USE_RE.match(stmt)
+        if m is not None:
             if root is not None:
                 raise GrammarFormatError("only one 'use' statement is allowed", lineno)
-            rest = stmt[4:].split()
-            tree_id = rest[0]
-            alias = rest[2] if len(rest) >= 3 and rest[1] == "as" else tree_id
-            root = alias
-            instances[alias] = tree_id
+            root = m["alias"] or m["tree"]
+            instances[root] = m["tree"]
             continue
         m = _STEP_RE.match(stmt)
         if m is None:

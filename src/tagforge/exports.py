@@ -95,22 +95,22 @@ def phrase_from_json(text: str) -> PhraseTree:
 _PHRASE_LABELS = {"substitution": "{} ↓", "foot": "{} *", "terminal": '"{}"', "anchor": "{}◇"}
 
 
-def phrase_to_dot(tree: PhraseTree, name: str = "derived") -> str:
+def phrase_to_dot(tree: PhraseTree) -> str:
     nodes, edges = [], []
     for addr, node in walk(tree.root):
         node_id = "n" + ("_".join(map(str, addr)) or "0")
         nodes.append((node_id, _PHRASE_LABELS.get(node.kind, "{}").format(node.label)))
         below = node_id + "_" if addr else "n"
         edges.extend((node_id, f"{below}{i}", None) for i in range(1, len(node.children) + 1))
-    return _dot(name, nodes, edges)
+    return _dot("derived", nodes, edges)
 
 
 # -- derivation trees --------------------------------------------------
 
 
-def derivation_to_json(script: DerivationTree) -> str:
-    """A step's site is one address text, or a list of them for
-    ``adjoin_set``."""
+def derivation_data(script: DerivationTree) -> dict:
+    """The JSON value of a derivation.  A step's site is one address
+    text, or a list of them for ``adjoin_set``."""
     steps = []
     for step in script.steps:
         site = site_texts(step.op, step.site)
@@ -123,11 +123,11 @@ def derivation_to_json(script: DerivationTree) -> str:
                 "label": step.arc_label,
             }
         )
-    return json.dumps(
-        {"root": script.root, "instances": script.instances, "steps": steps},
-        indent=2,
-        ensure_ascii=False,
-    )
+    return {"root": script.root, "instances": dict(script.instances), "steps": steps}
+
+
+def derivation_to_json(script: DerivationTree) -> str:
+    return json.dumps(derivation_data(script), indent=2, ensure_ascii=False)
 
 
 def derivation_from_json(text: str) -> DerivationTree:
@@ -149,16 +149,14 @@ def derivation_from_json(text: str) -> DerivationTree:
     return _from_json(text, "derivation", build, "derivation JSON nests too deep")
 
 
-def derivation_to_dot(
-    script: DerivationTree, lexemes: dict[str, str] | None = None, name: str = "derivation"
-) -> str:
+def derivation_to_dot(script: DerivationTree, lexemes: dict[str, str] | None = None) -> str:
     """Nodes carry the anchor lexeme; arcs carry the actant number,
     ATTR or S."""
     lexemes = lexemes or {}
     ids = {inst: f"n{i}" for i, inst in enumerate(script.instances)}
     nodes = [(ids[inst], lexemes.get(inst, tree_id)) for inst, tree_id in script.instances.items()]
     edges = [(ids[s.parent], ids[s.child], s.arc_label) for s in script.steps]
-    return _dot(name, nodes, edges)
+    return _dot("derivation", nodes, edges)
 
 
 # -- dependency trees --------------------------------------------------
@@ -194,7 +192,7 @@ def dependency_from_json(text: str) -> DependencyTree:
     return _from_json(text, "dependency", build, "dependency JSON nests too deep")
 
 
-def dependency_to_dot(tree: DependencyTree, name: str = "dependency") -> str:
+def dependency_to_dot(tree: DependencyTree) -> str:
     tree.validate()
     ids = {nid: f"n{i}" for i, nid in enumerate(tree.nodes)}
     nodes = [
@@ -202,4 +200,4 @@ def dependency_to_dot(tree: DependencyTree, name: str = "dependency") -> str:
         for nid, node in tree.nodes.items()
     ]
     edges = [(ids[head], ids[dep], label) for head, dep, label in tree.arcs]
-    return _dot(name, nodes, edges)
+    return _dot("dependency", nodes, edges)

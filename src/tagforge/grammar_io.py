@@ -160,6 +160,8 @@ def parse_grammar(text: str) -> Grammar:
         if kind != "ident":
             raise GrammarFormatError(f"expected a statement, got {value!r}", line)
         if value == "start":
+            if declared_start is not None:
+                raise GrammarFormatError("only one 'start' statement is allowed", line)
             declared_start = stream.next("ident")[1]
         elif value == "tree":
             tree_id = stream.next("ident")[1]
@@ -182,6 +184,8 @@ def parse_grammar(text: str) -> Grammar:
                 if tok[0] != "ident":
                     raise GrammarFormatError(f"expected member id, got {tok[1]!r}", tok[2])
                 members.append(tok[1])
+            if not members:
+                raise GrammarFormatError(f"set {set_id!r} has no members", line)
             pending_sets.append((set_id, members, line))
         else:
             raise GrammarFormatError(f"unknown statement {value!r}", line)

@@ -132,24 +132,30 @@ def _parse_terms(text: str, rule_name: str) -> tuple[str, ...]:
     return tuple(terms)
 
 
+# Each statement regex also takes the whitespace after the statement.
+_CLASS_RE = re.compile(r"class\s+(\S+)\s*=([^\n{}]*)\s*")
+_RULE_RE = re.compile(r"rule\s+(?P<name>\S+)\s+when\s+(?P<cond>[^{]+)\{(?P<body>[^}]*)\}\s*")
+
+
 def parse_rules(text: str) -> RuleSet:
-    text = re.sub(r"#[^\n]*", "", text)
+    """Read ``class`` and ``rule`` statements in order from one cursor.  A
+    class's lexemes end at the end of its line."""
+    text = re.sub(r"#[^\n]*", "", text).strip()
     rules: list[SyntagmRule] = []
     classes: dict[str, frozenset[str]] = {}
-
-    class_re = re.compile(r"class\s+(\S+)\s*=\s*([^\n]+)")
-    rule_re = re.compile(
-        r"rule\s+(?P<name>\S+)\s+when\s+(?P<cond>[^{]+)\{(?P<body>[^}]*)\}",
-        re.DOTALL,
-    )
-    consumed = []
-    for m in class_re.finditer(text):
-        name = m.group(1)
-        if name in classes:
-            raise GrammarFormatError(f"duplicate class {name!r}")
-        classes[name] = frozenset(m.group(2).split())
-        consumed.append(m.span())
-    for m in rule_re.finditer(text):
+    pos = 0
+    while pos < len(text):
+        m = _CLASS_RE.match(text, pos)
+        if m is not None:
+            if m[1] in classes:
+                raise GrammarFormatError(f"duplicate class {m[1]!r}")
+            classes[m[1]] = frozenset(m[2].split())
+            pos = m.end()
+            continue
+        m = _RULE_RE.match(text, pos)
+        if m is None:
+            raise GrammarFormatError(f"unparsed rule-file content: {text[pos:pos + 60]!r}")
+        pos = m.end()
         name = m["name"]
         conditions = tuple(
             _parse_condition(atom) for atom in re.split(r"\band\b", m["cond"])
@@ -168,13 +174,6 @@ def parse_rules(text: str) -> RuleSet:
         if set(assigns) != {"y1", "y2"}:
             raise GrammarFormatError(f"rule {name!r} must assign both y1 and y2")
         rules.append(SyntagmRule(name, conditions, assigns["y1"], assigns["y2"]))
-        consumed.append(m.span())
-
-    leftover = text
-    for start, end in sorted(consumed, reverse=True):
-        leftover = leftover[:start] + leftover[end:]
-    if leftover.strip():
-        raise GrammarFormatError(f"unparsed rule-file content: {leftover.strip()[:60]!r}")
     if not rules:
         raise GrammarFormatError("rule file declares no rules")
     names = [r.name for r in rules]
@@ -366,14 +365,13 @@ def _pairs(
     node shape (see the module docstring) is planned once.  After the
     root's pair, the words it holds must be as many as the overt nodes:
     an overt node below a covert one has no place."""
-    tree.validate()
+    index = _overt_index(tree)
     nodes, cat_of = tree.nodes, ruleset._class_of.get
     conditions = [c for rule in ruleset.rules for c in rule.conditions]
     named = {c.value for c in conditions if c.kind == "head_lex"}
     by_class = any(c.kind == "exists" and c.dep_cat is not None for c in conditions)
     plans: dict[tuple, _Plan] = {}
     done: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    index = _overt_index(tree)
     for node_id in _postorder(index, tree.root):
         deps = index.get(node_id, [])
         lexeme = nodes[node_id].lexeme

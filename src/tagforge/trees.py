@@ -188,7 +188,7 @@ def format_address(address: Address) -> str:
 
 def parse_address(text: str) -> Address:
     text = text.strip()
-    if text in ("0", "", "e"):
+    if text == "0":
         return ()
     try:
         parts = tuple(int(p) for p in text.split("."))

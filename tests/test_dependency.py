@@ -528,6 +528,9 @@ def test_changed_dependency_tree_is_checked_again(mutation):
         "linearize": lambda t: tf.linearize(t, rules),
         "serialize_dependency": serialize_dependency,
         "dependency_to_json": dependency_to_json,
+        "dependent_index": lambda t: t.dependent_index(),
+        "dependents": lambda t: t.dependents("r"),
+        "linearize_node": lambda t: tf.linearize_node(t, "b", {}, rules),
     }
     tree.validate()
     for call in calls.values():

@@ -946,6 +946,11 @@ def test_replay_matches_the_eager_reference(english, german_mc):
             "use alpha1\nsubst alpha2 -> alpha1 @ 2.0 label 1",
             "bad address '2.0': indices are 1-based",
         ),
+        ("use alpha1 junk", "line 1: cannot parse statement 'use alpha1 junk'"),
+        ("use alpha1 as", "line 1: cannot parse statement 'use alpha1 as'"),
+        ("use alpha1 as x y", "line 1: cannot parse statement 'use alpha1 as x y'"),
+        # Only 0 names the root: an empty site between commas is a typo.
+        ("use alpha1\nadjoinset sigma_m -> alpha1 @ 1,, 2.2 label S", "bad address ''"),
     ],
 )
 def test_script_format_errors(english, text, message):
@@ -1058,10 +1063,11 @@ def _fig15_json(german_mc, change):
             "cannot convert dictionary update sequence element #0 to a sequence",
         ),
         ("[" * 100_000, "derivation JSON nests too deep"),
+        (lambda d: d["steps"][0].__setitem__("site", ""), "bad address ''"),
     ],
     ids=[
         "no-keys", "list", "not-json", "set-site-string", "set-site-object",
-        "site-list", "site-ints", "no-label", "instances-list", "too-deep",
+        "site-list", "site-ints", "no-label", "instances-list", "too-deep", "site-empty",
     ],
 )
 def test_derivation_from_json_errors_are_typed(german_mc, text, message):

@@ -313,6 +313,8 @@ _TREE_A = 'tree a initial (S x! "w"@)\n'
             'tree a aux (S S* "v"@)\ntree b aux (S S* "u"@)\nset s { a }\nset s { b }',
             "line 4: duplicate set id 's'",
         ),
+        ("start S\n" + _TREE_A + "start NP", "line 3: only one 'start' statement is allowed"),
+        (_TREE_A + "set s { }", "line 2: set 's' has no members"),
     ],
 )
 def test_grammar_format_errors(text, message):

@@ -385,6 +385,16 @@ def test_head_lexeme_named_by_a_rule_is_part_of_the_shape():
         ("rule r when any { y3 = head }", "rule 'r': bad assignment 'y3 = head'"),
         ("rule r when any { y1 = head ; y1 = empty }", "rule 'r': y1 assigned twice"),
         ("class V = a b", "rule file declares no rules"),
+        # A class ends at the end of its line, so a rule on that line is
+        # read as the class's lexemes up to its brace.
+        (
+            "class V = a b rule r when any { y1 = head ; y2 = empty }",
+            "unparsed rule-file content: '{ y1 = head ; y2 = empty }'",
+        ),
+        (
+            "rule r when any { y1 = head ; y2 = empty }\nfrob\nclass V = a",
+            "unparsed rule-file content: 'frob\\nclass V = a'",
+        ),
     ],
 )
 def test_rule_format_error_messages(text, message):
